@@ -28,11 +28,6 @@ def make_row(re, im=None):
     return (1, tuple(re), None if im is None else tuple(im))
 
 
-def row_is_zero(row) -> bool:
-    _, re, im = row
-    return not any(re) and (im is None or not any(im))
-
-
 def _reduce_content(den, re, im):
     """Divide out gcd(den, entries) and drop an all-zero imaginary part."""
     if im is not None and not any(im):
@@ -211,8 +206,8 @@ def nullspace(pivots, rows, width):
     """Canonical basis of the right null space of a matrix in RREF.
 
     ``rows`` must be canonical output of :func:`rref`.  The null space is
-    {x : sum_k M[r][k] * x[k] = 0 for all r}; the returned rows are again in
-    canonical RREF form.
+    {x : sum_k M[r][k] * x[k] = 0 for all r}; the result is ``(pivots, out)``
+    in canonical RREF form, exactly as :func:`rref` returns it.
     """
     pivot_set = set(pivots)
     free = [c for c in range(width) if c not in pivot_set]
@@ -233,27 +228,18 @@ def nullspace(pivots, rows, width):
                 vim[p] = -im[f] * s
                 has_im = True
         basis.append(_reduce_content(1, vre, vim if has_im else None))
-    _, out = rref(basis, width)
-    return out
-
-
-def reduce_against(pivots, rows, vec):
-    """Residual of ``vec`` after eliminating its pivot-column entries with
-    the canonical ``rows``.  Zero residual means membership in the row space.
-    """
-    dv, vre, vim = vec
-    vre = list(vre)
-    vim = list(vim) if vim is not None else None
-    for (den, re, im), col in zip(rows, pivots):
-        if vre[col] or (vim is not None and vim[col]):
-            dv, vre, vim = _eliminate(den, re, im, dv, vre, vim, col)
-    return dv, vre, vim
+    return rref(basis, width)
 
 
 def member(pivots, rows, vec) -> bool:
-    """True if ``vec`` lies in the row space of canonical ``rows``."""
-    _, re, im = reduce_against(pivots, rows, vec)
-    return not any(re) and (im is None or not any(im))
+    """True if ``vec`` lies in the row space of canonical ``rows``: the
+    residual after eliminating its pivot-column entries is zero.  Needs each
+    pivot to be the leading nonzero column of its row."""
+    dv, vre, vim = vec
+    for (den, re, im), col in zip(rows, pivots):
+        if vre[col] or (vim is not None and vim[col]):
+            dv, vre, vim = _eliminate(den, re, im, dv, vre, vim, col)
+    return not any(vre) and (vim is None or not any(vim))
 
 
 def conjugate_row(row):
@@ -261,11 +247,3 @@ def conjugate_row(row):
     if im is None:
         return row
     return (den, re, tuple(-x for x in im))
-
-
-def scale_int_row(row, k: int):
-    """Multiply a row by the integer k (k may be negative, not zero)."""
-    den, re, im = row
-    nre = [k * x for x in re]
-    nim = None if im is None else [k * x for x in im]
-    return _reduce_content(den, nre, nim)

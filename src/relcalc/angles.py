@@ -11,7 +11,6 @@ by convention.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,17 +27,10 @@ class FloatBasis:
 
     ambient_dim: int
     vectors: np.ndarray  # shape (dim, ambient_dim), complex128, rows orthonormal
-    source_hash: str
 
     @property
     def dim(self) -> int:
         return self.vectors.shape[0]
-
-
-def _subspace_hash(s: Subspace) -> str:
-    h = hashlib.sha256()
-    h.update(repr(s.key()).encode())
-    return h.hexdigest()[:16]
 
 
 def orthonormal_basis_f64(s: Subspace, tol: float = DEFAULT_TOL) -> FloatBasis:
@@ -49,7 +41,7 @@ def orthonormal_basis_f64(s: Subspace, tol: float = DEFAULT_TOL) -> FloatBasis:
     """
     n = s.ambient_dim
     if s.is_zero():
-        return FloatBasis(n, np.zeros((0, n), dtype=np.complex128), _subspace_hash(s))
+        return FloatBasis(n, np.zeros((0, n), dtype=np.complex128))
     rows = np.array(
         [[complex(z) for z in vec] for vec in s.basis_vectors()],
         dtype=np.complex128,
@@ -70,7 +62,7 @@ def orthonormal_basis_f64(s: Subspace, tol: float = DEFAULT_TOL) -> FloatBasis:
     gram = q @ q.conj().T
     if not np.allclose(gram, np.eye(len(basis)), atol=tol):
         raise InternalCheckError("orthonormalization failed the Gram check")
-    return FloatBasis(n, q, _subspace_hash(s))
+    return FloatBasis(n, q)
 
 
 def dixmier_cos(s: Subspace, t: Subspace, tol: float = DEFAULT_TOL) -> float:
@@ -91,11 +83,7 @@ def dixmier_cos(s: Subspace, t: Subspace, tol: float = DEFAULT_TOL) -> float:
 
 def friedrichs_cos(s: Subspace, t: Subspace, tol: float = DEFAULT_TOL) -> float:
     """c(S, T): the Dixmier cosine after removing S meet T from both sides
-    exactly."""
-    if s.ambient_dim != t.ambient_dim:
-        raise DimensionError(
-            f"ambient mismatch: {s.ambient_dim} != {t.ambient_dim}"
-        )
+    exactly; relative_complement rejects mismatched ambients."""
     s_part = s.relative_complement(t)
     t_part = t.relative_complement(s)
     return dixmier_cos(s_part, t_part, tol)

@@ -18,7 +18,6 @@ from .idempotents import (
     ic_holds,
     kernel_triple,
     maximal_idempotent,
-    maximal_idempotent_hat_form,
     minimal_idempotent,
     range_condition_holds,
     range_to_kernel,
@@ -29,6 +28,7 @@ from .idempotents import (
     super_form,
     triple_convert,
 )
+from .oracles import maximal_idempotent_hat_form
 from .relations import LinearRelation
 from .scalars import GaussianRational
 from .subspaces import Subspace

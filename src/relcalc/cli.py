@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import angles, documents, idempotents
-from .errors import ParseError, RelcalcError
+from .errors import ICViolationError, ParseError, RelcalcError
 from .relations import LinearRelation
 from .scalars import format_scalar
 from .subspaces import Subspace
@@ -185,27 +185,13 @@ def _cmd_ic(args) -> int:
     m = _load_subspace(args.m)
     n = _load_subspace(args.n)
     s = _load_subspace(args.s)
-    if idempotents.ic_holds(m, n, s):
-        _emit("IC: holds", args.output)
-        return 0
-    _emit("IC: violated", args.output)
-    lhs = m.sum_with(n).intersect(s)
-    rhs = m.intersect(n)
-    sys.stderr.write(
-        json.dumps(
-            {
-                "code": 4,
-                "message": "idempotency condition violated",
-                "context": {
-                    "lhs": documents.subspace_payload(lhs),
-                    "rhs": documents.subspace_payload(rhs),
-                },
-            },
-            sort_keys=True,
-        )
-        + "\n"
-    )
-    return 4
+    try:
+        idempotents.require_ic(m, n, s)
+    except ICViolationError:
+        _emit("IC: violated", args.output)
+        raise
+    _emit("IC: holds", args.output)
+    return 0
 
 
 def _cmd_angles(args) -> int:
@@ -220,7 +206,14 @@ def _cmd_fuzz(args) -> int:
     if args.seed is not None:
         seed = args.seed
     else:
-        seed = int(os.environ.get(DEFAULT_SEED_ENV, "0"))
+        text = os.environ.get(DEFAULT_SEED_ENV, "0")
+        try:
+            seed = int(text)
+        except ValueError:
+            raise ParseError(
+                f"${DEFAULT_SEED_ENV} must be an integer, got {text!r}",
+                variable=DEFAULT_SEED_ENV,
+            ) from None
     cfg = GenConfig(
         ambient_dim=args.dim,
         trials=args.trials,

@@ -81,16 +81,50 @@ def super_form(m: Subspace, n: Subspace, s: Subspace) -> LinearRelation:
 # -- triples -----------------------------------------------------------------
 
 
+def require_ic(m: Subspace, n: Subspace, s: Subspace) -> None:
+    """Raise :class:`ICViolationError`, carrying both sides, unless the
+    idempotency condition (M+N) meet S = M meet N holds."""
+    _require_same_ambient(m, n, s)
+    lhs = m.sum_with(n).intersect(s)
+    rhs = m.intersect(n)
+    if lhs != rhs:
+        raise ICViolationError(
+            "idempotency condition violated: (M+N) meet S != M meet N",
+            lhs=lhs,
+            rhs=rhs,
+        )
+
+
+def require_range_condition(x: Subspace, y: Subspace, z: Subspace) -> None:
+    """Raise :class:`ICViolationError`, carrying both sides, unless the
+    range-triple condition X meet Y + Z = X + Y holds."""
+    _require_same_ambient(x, y, z)
+    lhs = x.intersect(y).sum_with(z)
+    rhs = x.sum_with(y)
+    if lhs != rhs:
+        raise ICViolationError(
+            "range condition violated: X meet Y + Z != X + Y",
+            lhs=lhs,
+            rhs=rhs,
+        )
+
+
 def ic_holds(m: Subspace, n: Subspace, s: Subspace) -> bool:
     """The idempotency condition (M+N) meet S = M meet N."""
-    _require_same_ambient(m, n, s)
-    return m.sum_with(n).intersect(s) == m.intersect(n)
+    try:
+        require_ic(m, n, s)
+    except ICViolationError:
+        return False
+    return True
 
 
 def range_condition_holds(x: Subspace, y: Subspace, z: Subspace) -> bool:
     """The range-triple condition X meet Y + Z = X + Y."""
-    _require_same_ambient(x, y, z)
-    return x.intersect(y).sum_with(z) == x.sum_with(y)
+    try:
+        require_range_condition(x, y, z)
+    except ICViolationError:
+        return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -102,12 +136,7 @@ class IdempotentTriple:
     s: Subspace
 
     def __post_init__(self):
-        if not ic_holds(self.m, self.n, self.s):
-            raise ICViolationError(
-                "triple fails the idempotency condition",
-                lhs=self.m.sum_with(self.n).intersect(self.s),
-                rhs=self.m.intersect(self.n),
-            )
+        require_ic(self.m, self.n, self.s)
 
     @property
     def ambient_dim(self) -> int:
@@ -123,12 +152,7 @@ class RangeTriple:
     z: Subspace
 
     def __post_init__(self):
-        if not range_condition_holds(self.x, self.y, self.z):
-            raise ICViolationError(
-                "triple fails the range condition",
-                lhs=self.x.intersect(self.y).sum_with(self.z),
-                rhs=self.x.sum_with(self.y),
-            )
+        require_range_condition(self.x, self.y, self.z)
 
     @property
     def ambient_dim(self) -> int:
@@ -141,15 +165,7 @@ def build_pmns(m: Subspace, n: Subspace, s: Subspace) -> LinearRelation:
     Requires the idempotency condition; the offending subspaces ride along
     on the error when it fails.
     """
-    _require_same_ambient(m, n, s)
-    lhs = m.sum_with(n).intersect(s)
-    rhs = m.intersect(n)
-    if lhs != rhs:
-        raise ICViolationError(
-            "idempotency condition violated: (M+N) meet S != M meet N",
-            lhs=lhs,
-            rhs=rhs,
-        )
+    require_ic(m, n, s)
     return super_form(m, n, s)
 
 
@@ -157,15 +173,7 @@ def build_from_range_triple(
     x: Subspace, y: Subspace, z: Subspace
 ) -> LinearRelation:
     """The unique idempotent with ran F = X, ran(I-F) = Y, dom F = Z."""
-    _require_same_ambient(x, y, z)
-    lhs = x.intersect(y).sum_with(z)
-    rhs = x.sum_with(y)
-    if lhs != rhs:
-        raise ICViolationError(
-            "range condition violated: X meet Y + Z != X + Y",
-            lhs=lhs,
-            rhs=rhs,
-        )
+    require_range_condition(x, y, z)
     return sub_form(x, y, z)
 
 
@@ -339,16 +347,6 @@ def maximal_idempotent(
     _require_same_ambient(x, y, z)
     restricted_dom = z.intersect(x).sum_with(z.intersect(y))
     return sub_form(x, y, restricted_dom)
-
-
-def maximal_idempotent_hat_form(
-    x: Subspace, y: Subspace, z: Subspace
-) -> LinearRelation:
-    """The same largest idempotent written additively:
-    super_form(X meet Z, Y meet Z, X meet Y).  Kept as the second route for
-    the equality check on the two constructions."""
-    _require_same_ambient(x, y, z)
-    return super_form(x.intersect(z), y.intersect(z), x.intersect(y))
 
 
 # -- adjoints of idempotents -----------------------------------------------------

@@ -8,16 +8,11 @@ this module owns the public :class:`ExactMatrix` type whose entries are
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from . import _rowops
 from .errors import DimensionError
 from .scalars import GaussianRational, as_scalar
-
-
-def _lcm(a: int, b: int) -> int:
-    from math import gcd
-
-    return a * b // gcd(a, b)
 
 
 def row_to_ints(entries) -> _rowops.Row:
@@ -25,8 +20,7 @@ def row_to_ints(entries) -> _rowops.Row:
     scalars = [as_scalar(e) for e in entries]
     den = 1
     for z in scalars:
-        den = _lcm(den, z.re.denominator)
-        den = _lcm(den, z.im.denominator)
+        den = lcm(den, z.re.denominator, z.im.denominator)
     re = [int(z.re * den) for z in scalars]
     im = [int(z.im * den) for z in scalars]
     return (den, tuple(re), tuple(im) if any(im) else None)
@@ -83,9 +77,6 @@ class ExactMatrix:
     def row(self, i: int) -> tuple[GaussianRational, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
-    def row_list(self) -> list[tuple[GaussianRational, ...]]:
-        return [self.row(i) for i in range(self.rows)]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
@@ -137,10 +128,6 @@ class ExactMatrix:
         ]
         return ExactMatrix(self.cols, self.rows, out)
 
-    def transpose(self) -> "ExactMatrix":
-        out = [self[i, j] for j in range(self.cols) for i in range(self.rows)]
-        return ExactMatrix(self.cols, self.rows, out)
-
     def _int_rows(self) -> list[_rowops.Row]:
         return [row_to_ints(self.row(i)) for i in range(self.rows)]
 
@@ -166,7 +153,8 @@ class ExactMatrix:
         """Basis of {x : Mx = 0}, canonically ordered; empty list when the
         map is injective."""
         pivots, rows = _rowops.rref(self._int_rows(), self.cols)
-        return [ints_to_row(r) for r in _rowops.nullspace(pivots, rows, self.cols)]
+        _, basis = _rowops.nullspace(pivots, rows, self.cols)
+        return [ints_to_row(r) for r in basis]
 
     def solve(self, b) -> tuple[GaussianRational, ...] | None:
         """Some exact solution of Mx = b, or None when the system is

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from . import _rowops
 from .errors import DimensionError
-from .matrices import ExactMatrix, ints_to_row, row_to_ints
+from .matrices import ExactMatrix, row_to_ints
 from .subspaces import Subspace
 
 
@@ -108,10 +108,6 @@ class LinearRelation:
         _interned[key] = obj
         return obj
 
-    def __init__(self, dim_in: int, dim_out: int, graph: Subspace):
-        # Fully initialized (or fetched) in __new__.
-        pass
-
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -127,10 +123,6 @@ class LinearRelation:
                 )
             rows.append(row_to_ints(x + y))
         return cls(dim_in, dim_out, Subspace.from_int_rows(rows, dim_in + dim_out))
-
-    @classmethod
-    def from_graph(cls, graph: Subspace, dim_in: int, dim_out: int) -> "LinearRelation":
-        return cls(dim_in, dim_out, graph)
 
     @classmethod
     def graph_of_matrix(cls, matrix: ExactMatrix) -> "LinearRelation":
@@ -235,31 +227,15 @@ class LinearRelation:
     def parts(self) -> RelationParts:
         if self._parts is None:
             n, m = self.dim_in, self.dim_out
-            graph_rows = self.graph._rows
             dom_rows = []
             ran_rows = []
-            mul_rows = []
-            mul_pivots = []
-            for (den, re, im), p in zip(graph_rows, self.graph._pivots):
+            for den, re, im in self.graph._rows:
                 dom_rows.append((den, re[:n], None if im is None else im[:n]))
                 ran_rows.append((den, re[n:], None if im is None else im[n:]))
-                if p >= n:
-                    # Pivot in the output block: zero input part, so the
-                    # output slice is already canonical for mul.
-                    mul_rows.append((den, re[n:], None if im is None else im[n:]))
-                    mul_pivots.append(p - n)
             dom = Subspace.from_int_rows(dom_rows, n)
             ran = Subspace.from_int_rows(ran_rows, m)
-            mul = Subspace._from_rref(
-                m,
-                mul_pivots,
-                [
-                    (den, re, None if im is None or not any(im) else im)
-                    for den, re, im in mul_rows
-                ],
-            )
             ker = self.inverse().mul
-            self._parts = RelationParts(dom, ran, ker, mul)
+            self._parts = RelationParts(dom, ran, ker, self.mul)
         return self._parts
 
     @property
@@ -282,6 +258,8 @@ class LinearRelation:
         rows = []
         pivots = []
         for (den, re, im), p in zip(self.graph._rows, self.graph._pivots):
+            # A pivot in the output block means a zero input part, so the
+            # output slice is already canonical for mul.
             if p >= n:
                 rows.append(
                     (den, re[n:], None if im is None or not any(im[n:]) else im[n:])
@@ -363,15 +341,7 @@ class LinearRelation:
                     cim = [-x for x in im[n:]] + list(im[:n])
                 cond_rows.append(_rowops.make_row(cre, cim))
             pivots, rows = _rowops.rref(cond_rows, width)
-            null_rows = _rowops.nullspace(pivots, rows, width)
-            null_pivots = [
-                next(
-                    k
-                    for k in range(width)
-                    if r[1][k] or (r[2] is not None and r[2][k])
-                )
-                for r in null_rows
-            ]
+            null_pivots, null_rows = _rowops.nullspace(pivots, rows, width)
             graph = Subspace._from_rref(width, null_pivots, null_rows)
             self._adjoint = LinearRelation(m, n, graph)
         return self._adjoint
@@ -390,7 +360,8 @@ class LinearRelation:
 
         Solved in generator coordinates: combinations of self's generators
         that also lie in other's graph.  The duality route on the doubled
-        ambient space is kept in :func:`meet_by_graph_intersection` as the
+        ambient space is kept in
+        :func:`relcalc.oracles.meet_by_graph_intersection` as the
         independent cross-check.
         """
         self._require_same_dims(other)
@@ -417,7 +388,9 @@ class LinearRelation:
         """
         self._require_same_dims(other)
         n, m = self.dim_in, self.dim_out
-        coeffs = _matching_coefficients(self, other, "input")
+        coeffs = _coefficient_nullspace(
+            self.graph._rows, other.graph._rows, range(n), range(n)
+        )
         blocks = [
             ((0,) * n + r[1][n:], None if r[2] is None else (0,) * n + r[2][n:])
             for r in self.graph._rows
@@ -443,7 +416,10 @@ class LinearRelation:
         n = other.dim_in
         e = other.dim_out
         m = self.dim_out
-        coeffs = _link_coefficients(other, self)
+        # Match other's output slot with self's input slot.
+        coeffs = _coefficient_nullspace(
+            other.graph._rows, self.graph._rows, range(n, n + e), range(e)
+        )
         zero_m, zero_n = (0,) * m, (0,) * n
         blocks = [
             (r[1][:n] + zero_m, None if r[2] is None else r[2][:n] + zero_m)
@@ -466,28 +442,9 @@ class LinearRelation:
         return self._square
 
 
-def _matching_coefficients(t: LinearRelation, s: LinearRelation, slot: str):
-    """Canonical basis of {(a, b) : a . G_t and b . G_s agree on a slot}."""
-    n = t.dim_in
-    if slot == "input":
-        t_cols = range(n)
-        s_cols = range(n)
-    else:
-        raise ValueError(slot)
-    return _coefficient_nullspace(t.graph._rows, s.graph._rows, t_cols, s_cols)
-
-
-def _link_coefficients(first: LinearRelation, second: LinearRelation):
-    """Coefficients matching first's output slot to second's input slot."""
-    n = first.dim_in
-    e = first.dim_out
-    return _coefficient_nullspace(
-        first.graph._rows, second.graph._rows, range(n, n + e), range(e)
-    )
-
-
 def _coefficient_nullspace(t_rows, s_rows, t_cols, s_cols):
-    """Solve for generator coefficients making two slot combinations agree.
+    """Canonical basis of {(a, b) : a . G_t and b . G_s agree on the given
+    columns}: generator coefficients making two slot combinations agree.
 
     Works on the denominator-cleared integer generators (den * row), so the
     same scaled generators must be used when assembling the matched
@@ -507,152 +464,4 @@ def _coefficient_nullspace(t_rows, s_rows, t_cols, s_cols):
         ]
         eq_rows.append(_rowops.make_row(re, im))
     pivots, rows = _rowops.rref(eq_rows, width)
-    return _rowops.nullspace(pivots, rows, width)
-
-
-# -- module-level vocabulary ------------------------------------------------
-
-
-def from_generators(pairs, dim_in, dim_out) -> LinearRelation:
-    return LinearRelation.from_generators(pairs, dim_in, dim_out)
-
-
-def graph_of_matrix(matrix: ExactMatrix) -> LinearRelation:
-    return LinearRelation.graph_of_matrix(matrix)
-
-
-def identity_on(space: Subspace) -> LinearRelation:
-    return LinearRelation.identity_on(space)
-
-
-def product_space(left: Subspace, right: Subspace) -> LinearRelation:
-    return LinearRelation.product_space(left, right)
-
-
-def parts(t: LinearRelation) -> RelationParts:
-    return t.parts()
-
-
-def inverse(t: LinearRelation) -> LinearRelation:
-    return t.inverse()
-
-
-def one_minus(t: LinearRelation) -> LinearRelation:
-    return t.one_minus()
-
-
-def hat_sum(t: LinearRelation, s: LinearRelation) -> LinearRelation:
-    return t.hat_sum(s)
-
-
-def meet(t: LinearRelation, s: LinearRelation) -> LinearRelation:
-    return t.meet(s)
-
-
-def plus(t: LinearRelation, s: LinearRelation) -> LinearRelation:
-    return t.plus(s)
-
-
-def compose(s: LinearRelation, t: LinearRelation) -> LinearRelation:
-    """The product ST: apply t first, then s."""
-    return s.compose(t)
-
-
-def adjoint(t: LinearRelation) -> LinearRelation:
-    return t.adjoint()
-
-
-def closure(t: LinearRelation) -> LinearRelation:
-    return t.closure()
-
-
-def leq(t: LinearRelation, s: LinearRelation) -> bool:
-    return t.leq(s)
-
-
-def rel_equals(t: LinearRelation, s: LinearRelation) -> bool:
-    t._require_same_dims(s)
-    return t == s
-
-
-def meet_by_graph_intersection(
-    t: LinearRelation, s: LinearRelation
-) -> LinearRelation:
-    """Oracle route for meet: duality intersection of the graph subspaces."""
-    t._require_same_dims(s)
-    return LinearRelation(t.dim_in, t.dim_out, t.graph.intersect(s.graph))
-
-
-def compose_by_slot_elimination(
-    s: LinearRelation, t: LinearRelation
-) -> LinearRelation:
-    """Oracle route for the product ST: materialize the triple space
-    {(x, z, y) : (x, z) in t, (z, y) in s} inside F^(n+e+m), intersect, and
-    project out the middle slot."""
-    if t.dim_out != s.dim_in:
-        raise DimensionError("slot mismatch")
-    n, e, m = t.dim_in, t.dim_out, s.dim_out
-    total = n + e + m
-    lift_t = _embed(t.graph, total, 0).sum_with(_coordinate_block(total, n + e, m))
-    lift_s = _embed(s.graph, total, n).sum_with(_coordinate_block(total, 0, n))
-    triple = lift_t.intersect(lift_s)
-    rows = [
-        (den, re[:n] + re[n + e :], None if im is None else im[:n] + im[n + e :])
-        for den, re, im in triple._rows
-    ]
-    return LinearRelation(n, m, Subspace.from_int_rows(rows, n + m))
-
-
-def plus_by_slot_elimination(t: LinearRelation, s: LinearRelation) -> LinearRelation:
-    """Oracle route for T + S via the space {(x, y, z)} with both graph
-    constraints, mapped through (x, y, z) -> (x, y + z)."""
-    t._require_same_dims(s)
-    n, m = t.dim_in, t.dim_out
-    total = n + m + m
-    lift_t = _embed(t.graph, total, 0).sum_with(_coordinate_block(total, n + m, m))
-    lift_s = _lift_outer(s.graph, n, m).sum_with(_coordinate_block(total, n, m))
-    pairs = lift_t.intersect(lift_s)
-    rows = []
-    for den, re, im in pairs._rows:
-        nre = list(re[:n]) + [re[n + k] + re[n + m + k] for k in range(m)]
-        nim = (
-            None
-            if im is None
-            else list(im[:n]) + [im[n + k] + im[n + m + k] for k in range(m)]
-        )
-        rows.append((den, nre, nim))
-    return LinearRelation(n, m, Subspace.from_int_rows(rows, n + m))
-
-
-def _embed(space: Subspace, total: int, offset: int) -> Subspace:
-    rows = []
-    for den, re, im in space._rows:
-        nre = [0] * total
-        nre[offset : offset + len(re)] = re
-        if im is None:
-            nim = None
-        else:
-            nim = [0] * total
-            nim[offset : offset + len(im)] = im
-        rows.append((den, nre, nim))
-    return Subspace.from_int_rows(rows, total)
-
-
-def _lift_outer(space: Subspace, n: int, m: int) -> Subspace:
-    """Embed a graph subspace of F^(n+m) into F^(n+m+m) on slots (0, 2)."""
-    total = n + 2 * m
-    rows = []
-    for den, re, im in space._rows:
-        nre = list(re[:n]) + [0] * m + list(re[n:])
-        nim = None if im is None else list(im[:n]) + [0] * m + list(im[n:])
-        rows.append((den, nre, nim))
-    return Subspace.from_int_rows(rows, total)
-
-
-def _coordinate_block(total: int, offset: int, size: int) -> Subspace:
-    rows = []
-    for i in range(size):
-        re = [0] * total
-        re[offset + i] = 1
-        rows.append((1, re, None))
-    return Subspace.from_int_rows(rows, total)
+    return _rowops.nullspace(pivots, rows, width)[1]

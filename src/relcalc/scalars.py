@@ -101,9 +101,6 @@ class GaussianRational:
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
 
-    def is_real(self) -> bool:
-        return self.im == 0
-
     def __complex__(self) -> complex:
         return complex(float(self.re), float(self.im))
 
@@ -112,11 +109,6 @@ class GaussianRational:
 
     def __str__(self) -> str:
         return format_scalar(self)
-
-
-ZERO = GaussianRational(0)
-ONE = GaussianRational(1)
-I = GaussianRational(0, 1)
 
 
 def _coerce(value):
@@ -150,8 +142,8 @@ def format_scalar(z: GaussianRational) -> str:
 def parse_scalar(text: str) -> GaussianRational:
     """Parse "p", "p/q", "p/q+r/si", or a pure imaginary "r/si".
 
-    Raises :class:`ParseError` on floats, zero denominators, or anything
-    else that is not an exact scalar literal.
+    Raises :class:`ParseError` on floats, zero denominators, integers too
+    long to convert, or anything else that is not an exact scalar literal.
     """
     if not isinstance(text, str):
         raise ParseError(f"scalar must be a string, got {type(text).__name__}")
@@ -167,6 +159,9 @@ def parse_scalar(text: str) -> GaussianRational:
             return GaussianRational(0, _parse_rational(m.group("im")))
     except ZeroDivisionError:
         raise ParseError(f"zero denominator in scalar {text!r}") from None
+    except ValueError as exc:
+        # int() refuses literals past the interpreter's digit limit.
+        raise ParseError(f"scalar literal out of range: {exc}") from None
     raise ParseError(f"malformed scalar {text!r}")
 
 

@@ -119,6 +119,12 @@ class Subspace:
         )
         return f"Subspace({self.ambient_dim}-dim ambient; span{{{vecs}}})"
 
+    def _document_payload(self) -> dict:
+        """The subspace document body, so error records carry documents."""
+        from .documents import subspace_payload
+
+        return subspace_payload(self)
+
     def _require_same_ambient(self, other: "Subspace"):
         if self.ambient_dim != other.ambient_dim:
             raise DimensionError(
@@ -145,8 +151,9 @@ class Subspace:
             # x is orthogonal to every basis row s iff conj(s) . x = 0;
             # conjugating a canonical basis keeps it canonical.
             conj_rows = [_rowops.conjugate_row(r) for r in self._rows]
-            rows = _rowops.nullspace(self._pivots, conj_rows, self.ambient_dim)
-            pivots = [next(k for k, _ in _iter_nonzero(r)) for r in rows]
+            pivots, rows = _rowops.nullspace(
+                self._pivots, conj_rows, self.ambient_dim
+            )
             out = Subspace._from_rref(self.ambient_dim, pivots, rows)
             self._perp = out
             out._perp = self
@@ -189,82 +196,3 @@ class Subspace:
     def is_direct_sum_with(self, other: "Subspace") -> bool:
         self._require_same_ambient(other)
         return self.sum_with(other).dim == self.dim + other.dim
-
-
-def _iter_nonzero(row):
-    den, re, im = row
-    for k, x in enumerate(re):
-        if x or (im is not None and im[k]):
-            yield k, x
-
-
-# -- module-level conveniences mirroring the mathematical vocabulary ------
-
-
-def span(vectors, ambient_dim: int) -> Subspace:
-    return Subspace.span(vectors, ambient_dim)
-
-
-def sum_of(s1: Subspace, s2: Subspace) -> Subspace:
-    return s1.sum_with(s2)
-
-
-def intersect(s1: Subspace, s2: Subspace) -> Subspace:
-    return s1.intersect(s2)
-
-
-def ortho_complement(s: Subspace) -> Subspace:
-    return s.perp()
-
-
-def contains(s1: Subspace, s2: Subspace) -> bool:
-    return s1.contains(s2)
-
-
-def equals(s1: Subspace, s2: Subspace) -> bool:
-    s1._require_same_ambient(s2)
-    return s1 == s2
-
-
-def relative_complement(s: Subspace, t: Subspace) -> Subspace:
-    return s.relative_complement(t)
-
-
-def is_direct_sum(s1: Subspace, s2: Subspace) -> bool:
-    return s1.is_direct_sum_with(s2)
-
-
-def intersect_by_stacking(s1: Subspace, s2: Subspace) -> Subspace:
-    """Intersection via the direct stacked-coefficient system.
-
-    Independent of the duality route; solves for coefficient pairs (a, b)
-    with a . B1 = b . B2 and returns the span of the common vectors.
-    """
-    s1._require_same_ambient(s2)
-    n = s1.ambient_dim
-    d1, d2 = s1.dim, s2.dim
-    if d1 == 0 or d2 == 0:
-        return Subspace.zero(n)
-    # Unknowns (a_1..a_d1, b_1..b_d2); one equation per ambient coordinate.
-    width = d1 + d2
-    eq_rows = []
-    b1 = s1.basis_vectors()
-    b2 = s2.basis_vectors()
-    for coord in range(n):
-        row = [b1[i][coord] for i in range(d1)] + [-b2[j][coord] for j in range(d2)]
-        eq_rows.append(row_to_ints(row))
-    pivots, rows = _rowops.rref(eq_rows, width)
-    coeffs = _rowops.nullspace(pivots, rows, width)
-    from .scalars import GaussianRational
-
-    vectors = []
-    for row in coeffs:
-        scal = ints_to_row(row)
-        combo = []
-        for coord in range(n):
-            acc = GaussianRational(0)
-            for i in range(d1):
-                acc = acc + scal[i] * b1[i][coord]
-            combo.append(acc)
-        vectors.append(combo)
-    return Subspace.span(vectors, n)

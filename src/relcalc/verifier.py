@@ -20,29 +20,16 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-from .angles import dixmier_cos, friedrichs_cos, orthonormal_basis_f64
 from .documents import document_dict, wrap
-from .errors import DimensionError, PreconditionError, RelcalcError
+from .errors import DimensionError, PreconditionError
 from .idempotents import (
     IdempotentTriple,
     RangeTriple,
-    build_from_range_triple,
     build_pmns,
-    classify,
-    ic_holds,
-    kernel_triple,
-    maximal_idempotent,
-    maximal_idempotent_hat_form,
-    minimal_idempotent,
-    range_condition_holds,
-    range_to_kernel,
-    range_triple,
     semi_projection,
     sub_form,
     super_form,
-    triple_convert,
 )
-from .matrices import ExactMatrix
 from .relations import LinearRelation
 from .scalars import GaussianRational
 from .subspaces import Subspace

@@ -29,6 +29,13 @@ def spaces(tmp_path):
     }
 
 
+# (M+N) meet S and M meet N for m, n, diag: both error routes carry these.
+IC_VIOLATION_CONTEXT = {
+    "lhs": {"ambient": 3, "basis": [["1", "1", "0"]]},
+    "rhs": {"ambient": 3, "basis": []},
+}
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -47,6 +54,7 @@ def test_ic_violated(spaces, capsys):
     assert out.strip() == "IC: violated"
     record = json.loads(err)
     assert record["code"] == 4
+    assert record["context"] == IC_VIOLATION_CONTEXT
 
 
 def test_build_and_classify_round(spaces, capsys, tmp_path):
@@ -74,6 +82,7 @@ def test_build_pmns_ic_violation_exit_code(spaces, capsys):
     assert code == 4
     record = json.loads(err)
     assert record["code"] == 4
+    assert record["context"] == IC_VIOLATION_CONTEXT
 
 
 def test_build_pmn(spaces, capsys):
@@ -99,10 +108,27 @@ def test_one_minus_requires_square(tmp_path, capsys):
     assert json.loads(err)["code"] == 3
 
 
-def test_parse_error_exit_code(tmp_path, capsys):
+def test_parse_error_exit_code(tmp_path, capsys, monkeypatch):
     bad = tmp_path / "bad.sub"
     bad.write_text("{broken")
-    code, _, err = run(capsys, "classify", str(bad))
+    # Past Python's 4300-digit limit on int() of a string.
+    long_literal = write(
+        tmp_path / "long.rel",
+        {
+            "kind": "relation",
+            "version": "1",
+            "dim_in": 1,
+            "dim_out": 1,
+            "generators": [[["9" * 5000], ["1"]]],
+        },
+    )
+    for path in (str(bad), long_literal):
+        code, _, err = run(capsys, "classify", path)
+        assert code == 2
+        assert json.loads(err)["code"] == 2
+
+    monkeypatch.setenv("RELCALC_SEED", "abc")
+    code, _, err = run(capsys, "fuzz", "--dim", "2", "--trials", "1")
     assert code == 2
     assert json.loads(err)["code"] == 2
 

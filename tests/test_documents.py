@@ -145,6 +145,11 @@ def test_parse_error_contexts():
         parse_document(json.dumps(doc))
     assert "basis[0][1]" in err.value.context["field"]
 
+    doc["basis"] = [["1", "9" * 5000]]
+    with pytest.raises(ParseError) as err:
+        parse_document(json.dumps(doc))
+    assert "basis[0][1]" in err.value.context["field"]
+
     doc = {
         "kind": "subspace",
         "version": "1",

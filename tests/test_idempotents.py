@@ -29,7 +29,7 @@ from relcalc import (
     triple_convert,
 )
 from relcalc.errors import DimensionError
-from relcalc.idempotents import maximal_idempotent_hat_form
+from relcalc.oracles import maximal_idempotent_hat_form
 
 
 def e(k, n):

@@ -10,7 +10,7 @@ from relcalc import (
     LinearRelation,
     Subspace,
 )
-from relcalc.relations import (
+from relcalc.oracles import (
     compose_by_slot_elimination,
     meet_by_graph_intersection,
     plus_by_slot_elimination,
@@ -311,7 +311,7 @@ def adjoint_by_perp_of_j(t):
         x, y = v[:n], v[n:]
         images.append([-I * c for c in y] + [I * c for c in x])
     jt = Subspace.span(images, m + n)
-    return LinearRelation.from_graph(jt.perp(), m, n)
+    return LinearRelation(m, n, jt.perp())
 
 
 def test_adjoint_hand_example():

@@ -3,8 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from relcalc import DimensionError, GaussianRational, Subspace
-from relcalc.subspaces import intersect_by_stacking
+from relcalc import DimensionError, GaussianRational, LinearRelation, Subspace
+from relcalc.oracles import intersect_by_stacking
 
 I = GaussianRational(0, 1)
 
@@ -17,6 +17,13 @@ def e(k, n):
 
 def span(vectors, n):
     return Subspace.span(vectors, n)
+
+
+def leading_columns(space):
+    return tuple(
+        next(k for k, x in enumerate(re) if x or (im is not None and im[k]))
+        for _, re, im in space._rows
+    )
 
 
 @st.composite
@@ -146,6 +153,11 @@ def test_de_morgan(s1, s2):
 def test_double_complement(s):
     assert s.perp().perp() == s
     assert s.dim + s.perp().dim == s.ambient_dim
+    # contains/member eliminate on the stored pivots, so they must be the
+    # leading nonzero columns of the rows the null space route returns.
+    assert s.perp()._pivots == leading_columns(s.perp())
+    adjoint = LinearRelation(1, 3, s).adjoint().graph
+    assert adjoint._pivots == leading_columns(adjoint)
 
 
 @settings(max_examples=80)
