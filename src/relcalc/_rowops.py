@@ -111,10 +111,8 @@ def rref(rows, width):
     ``rows`` is an iterable of ``(den, re, im)`` rows; returns
     ``(pivots, out)`` where ``out`` holds canonical rows (tuple components,
     leading entry exactly 1, content-reduced) and ``pivots`` the pivot
-    column indices in increasing order.
-
-    The elimination loop is deliberately inlined: this is the single hot
-    path of the whole package.
+    column indices in increasing order.  Each row is cleared by
+    :func:`_eliminate`, the same step :func:`member` uses.
     """
     work = []
     for den, re, im in rows:
@@ -125,7 +123,6 @@ def rref(rows, width):
     m = len(work)
     pivots = []
     prow = 0
-    bound = _REDUCE_BOUND
     for col in range(width):
         pr = -1
         for r in range(prow, m):
@@ -136,68 +133,24 @@ def rref(rows, width):
         if pr < 0:
             continue
         work[prow], work[pr] = work[pr], work[prow]
-        dp, pre, pim = work[prow]
-        den, pre, pim = _normalize_pivot(dp, pre, pim, col)
+        den, pre, pim = _normalize_pivot(*work[prow], col)
         work[prow] = (den, pre, pim)
-        den_is_one = den == 1
         for r in range(m):
-            if r == prow:
-                continue
             dr, vre, vim = work[r]
-            c = vre[col]
-            d = vim[col] if vim is not None else 0
-            if not c and not d:
-                continue
-            if d == 0:
-                if den_is_one:
-                    nre = [x - c * u for x, u in zip(vre, pre)]
-                else:
-                    nre = [den * x - c * u for x, u in zip(vre, pre)]
-                if pim is None:
-                    if vim is None:
-                        nim = None
-                    elif den_is_one:
-                        nim = vim
-                    else:
-                        nim = [den * y for y in vim]
-                elif vim is None:
-                    nim = [-c * w for w in pim]
-                else:
-                    nim = [den * y - c * w for y, w in zip(vim, pim)]
-            else:
-                # d != 0 forces vim to be present.
-                if pim is None:
-                    nre = [den * x - c * u for x, u in zip(vre, pre)]
-                    nim = [den * y - d * u for y, u in zip(vim, pre)]
-                else:
-                    nre = [
-                        den * x - c * u + d * w
-                        for x, u, w in zip(vre, pre, pim)
-                    ]
-                    nim = [
-                        den * y - c * w - d * u
-                        for y, w, u in zip(vim, pim, pre)
-                    ]
-            nd = dr * den
-            if nd < bound:
-                if nim is not None and not any(nim):
-                    nim = None
-                work[r] = (nd, nre, nim)
-            else:
-                work[r] = _reduce_content(nd, nre, nim)
+            if r != prow and (vre[col] or (vim is not None and vim[col])):
+                work[r] = _eliminate(den, pre, pim, dr, vre, vim, col)
         pivots.append(col)
         prow += 1
         if prow == m:
             break
     # Lazy elimination can leave shared content behind; canonical uniqueness
     # requires one full reduction per surviving row.  A pivot row with den 1
-    # has leading entry exactly 1, hence content 1 already.
+    # has leading entry exactly 1, hence content 1 already; every stored row
+    # already has an all-zero ``im`` collapsed to None.
     out = []
     for den, re, im in work[:prow]:
         if den != 1:
             den, re, im = _reduce_content(den, re, im)
-        elif im is not None and not any(im):
-            im = None
         out.append((den, tuple(re), None if im is None else tuple(im)))
     return pivots, out
 

@@ -15,10 +15,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, InternalCheckError
+from .errors import InternalCheckError, PreconditionError
 from .subspaces import Subspace
 
 DEFAULT_TOL = 1e-9
+# Gram-Schmidt residuals of canonical basis rows have norm at least 1 and
+# the Gram check's round-off stays near 1e-16, so a tolerance in this range
+# never fails on correct input; past 0.5, comparisons of cosines in [0, 1]
+# mean little.  Outside it the tolerance is bad input, not a breach.
+MIN_TOL, MAX_TOL = 1e-12, 0.5
+
+
+def require_tol(tol: float) -> None:
+    """Raise :class:`PreconditionError` unless MIN_TOL <= tol <= MAX_TOL
+    (NaN and infinities fail the comparison)."""
+    if not MIN_TOL <= tol <= MAX_TOL:
+        raise PreconditionError(
+            f"tol must lie in [{MIN_TOL}, {MAX_TOL}], got {tol!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -39,6 +53,7 @@ def orthonormal_basis_f64(s: Subspace, tol: float = DEFAULT_TOL) -> FloatBasis:
     The exact basis rows are independent, so no rank decisions happen in
     floats; the Gram matrix is checked against the identity to ``tol``.
     """
+    require_tol(tol)
     n = s.ambient_dim
     if s.is_zero():
         return FloatBasis(n, np.zeros((0, n), dtype=np.complex128))
@@ -68,10 +83,8 @@ def orthonormal_basis_f64(s: Subspace, tol: float = DEFAULT_TOL) -> FloatBasis:
 def dixmier_cos(s: Subspace, t: Subspace, tol: float = DEFAULT_TOL) -> float:
     """c0(S, T): sup of |<x, y>| over unit vectors; 0 when either side is
     trivial; clamped into [0, 1]."""
-    if s.ambient_dim != t.ambient_dim:
-        raise DimensionError(
-            f"ambient mismatch: {s.ambient_dim} != {t.ambient_dim}"
-        )
+    s._require_same_ambient(t)
+    require_tol(tol)
     if s.is_zero() or t.is_zero():
         return 0.0
     bs = orthonormal_basis_f64(s, tol)

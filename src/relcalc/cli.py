@@ -16,7 +16,6 @@ import sys
 from . import angles, documents, idempotents
 from .errors import ICViolationError, ParseError, RelcalcError
 from .relations import LinearRelation
-from .scalars import format_scalar
 from .subspaces import Subspace
 from .verifier import CHECKS, GenConfig, verify_suite
 
@@ -59,10 +58,6 @@ def _load_relation(path: str) -> LinearRelation:
     return _load_kind(path, "relation")
 
 
-def _vector_strings(vec) -> list[str]:
-    return [format_scalar(z) for z in vec]
-
-
 # -- subcommand handlers -----------------------------------------------------
 
 
@@ -79,7 +74,7 @@ def _cmd_classify(args) -> int:
         "witnesses": {
             key: None
             if pair is None
-            else [_vector_strings(pair[0]), _vector_strings(pair[1])]
+            else [documents.vector_payload(half) for half in pair]
             for key, pair in sorted(cls.witnesses.items())
         },
     }
@@ -101,44 +96,17 @@ def _cmd_parts(args) -> int:
     return 0
 
 
-def _binary(args, op) -> int:
+def _cmd_binary(args) -> int:
     a = _load_relation(args.left)
     b = _load_relation(args.right)
-    _emit_document(op(a, b), args.output)
+    _emit_document(getattr(a, args.method)(b), args.output)
     return 0
 
 
-def _cmd_compose(args) -> int:
-    return _binary(args, lambda a, b: a.compose(b))
-
-
-def _cmd_hat_sum(args) -> int:
-    return _binary(args, lambda a, b: a.hat_sum(b))
-
-
-def _cmd_meet(args) -> int:
-    return _binary(args, lambda a, b: a.meet(b))
-
-
-def _cmd_plus(args) -> int:
-    return _binary(args, lambda a, b: a.plus(b))
-
-
-def _unary(args, op) -> int:
-    _emit_document(op(_load_relation(args.relation)), args.output)
+def _cmd_unary(args) -> int:
+    t = _load_relation(args.relation)
+    _emit_document(getattr(t, args.method)(), args.output)
     return 0
-
-
-def _cmd_adjoint(args) -> int:
-    return _unary(args, lambda t: t.adjoint())
-
-
-def _cmd_inverse(args) -> int:
-    return _unary(args, lambda t: t.inverse())
-
-
-def _cmd_one_minus(args) -> int:
-    return _unary(args, lambda t: t.one_minus())
 
 
 def _cmd_build(args) -> int:
@@ -241,8 +209,16 @@ def _cmd_checks(args) -> int:
 # -- parser ---------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a :class:`ParseError` (exit 2 with a
+    JSON record) instead of printing usage and exiting."""
+
+    def error(self, message):
+        raise ParseError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="relcalc",
         description=(
             "Exact calculus of linear relations: classify idempotents, build "
@@ -264,22 +240,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("parts", _cmd_parts, "dom/ran/ker/mul of a relation")
     p.add_argument("relation")
 
-    for name, fn, help_text in (
-        ("compose", _cmd_compose, "product LEFT o RIGHT (RIGHT acts first)"),
-        ("hat-sum", _cmd_hat_sum, "graph sum of two relations"),
-        ("meet", _cmd_meet, "graph intersection of two relations"),
-        ("plus", _cmd_plus, "pointwise sum of two relations"),
+    # Subcommand "hat-sum" runs LinearRelation.hat_sum, and so on.
+    for name, help_text in (
+        ("compose", "product LEFT o RIGHT (RIGHT acts first)"),
+        ("hat-sum", "graph sum of two relations"),
+        ("meet", "graph intersection of two relations"),
+        ("plus", "pointwise sum of two relations"),
     ):
-        p = add(name, fn, help_text)
+        p = add(name, _cmd_binary, help_text)
+        p.set_defaults(method=name.replace("-", "_"))
         p.add_argument("left")
         p.add_argument("right")
 
-    for name, fn, help_text in (
-        ("adjoint", _cmd_adjoint, "adjoint relation"),
-        ("inverse", _cmd_inverse, "inverse relation"),
-        ("one-minus", _cmd_one_minus, "I - T of a square relation"),
+    for name, help_text in (
+        ("adjoint", "adjoint relation"),
+        ("inverse", "inverse relation"),
+        ("one-minus", "I - T of a square relation"),
     ):
-        p = add(name, fn, help_text)
+        p = add(name, _cmd_unary, help_text)
+        p.set_defaults(method=name.replace("-", "_"))
         p.add_argument("relation")
 
     p = add("build", _cmd_build, "canonical idempotent constructions")
@@ -326,9 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except RelcalcError as exc:
         sys.stderr.write(json.dumps(exc.record(), sort_keys=True) + "\n")

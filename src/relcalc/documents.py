@@ -10,7 +10,7 @@ trailing newline) so equal values produce identical bytes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import DimensionError, ParseError
 from .idempotents import IdempotentTriple, RangeTriple
@@ -33,14 +33,14 @@ class DocumentEnvelope:
 # -- payload builders ---------------------------------------------------------
 
 
-def _vector_payload(vec) -> list[str]:
+def vector_payload(vec) -> list[str]:
     return [format_scalar(z) for z in vec]
 
 
 def subspace_payload(s: Subspace) -> dict:
     return {
         "ambient": s.ambient_dim,
-        "basis": [_vector_payload(v) for v in s.basis_vectors()],
+        "basis": [vector_payload(v) for v in s.basis_vectors()],
     }
 
 
@@ -50,28 +50,16 @@ def relation_payload(t: LinearRelation) -> dict:
         "dim_in": t.dim_in,
         "dim_out": t.dim_out,
         "generators": [
-            [_vector_payload(v[:n]), _vector_payload(v[n:])]
+            [vector_payload(v[:n]), vector_payload(v[n:])]
             for v in t.graph.basis_vectors()
         ],
     }
 
 
-def kernel_triple_payload(t: IdempotentTriple) -> dict:
-    return {
-        "ambient": t.ambient_dim,
-        "m": subspace_payload(t.m),
-        "n": subspace_payload(t.n),
-        "s": subspace_payload(t.s),
-    }
-
-
-def range_triple_payload(t: RangeTriple) -> dict:
-    return {
-        "ambient": t.ambient_dim,
-        "x": subspace_payload(t.x),
-        "y": subspace_payload(t.y),
-        "z": subspace_payload(t.z),
-    }
+def triple_payload(t: IdempotentTriple | RangeTriple) -> dict:
+    """Ambient plus one subspace body per component (m/n/s or x/y/z)."""
+    body = {f.name: subspace_payload(getattr(t, f.name)) for f in fields(t)}
+    return {"ambient": t.ambient_dim, **body}
 
 
 def wrap(obj) -> DocumentEnvelope:
@@ -94,10 +82,7 @@ def document_dict(env: DocumentEnvelope) -> dict:
     elif env.kind == "relation":
         body = relation_payload(env.payload)
     elif env.kind == "triple":
-        if isinstance(env.payload, IdempotentTriple):
-            body = kernel_triple_payload(env.payload)
-        else:
-            body = range_triple_payload(env.payload)
+        body = triple_payload(env.payload)
     elif env.kind == "report":
         body = dict(env.payload)
     else:
@@ -181,12 +166,10 @@ def parse_relation_body(doc: dict, where: str = "$") -> LinearRelation:
 
 def parse_triple_body(doc: dict, where: str = "$"):
     ambient = _require_count(doc, "ambient", where)
-    if all(k in doc for k in ("m", "n", "s")):
-        keys = ("m", "n", "s")
-        kernel = True
-    elif all(k in doc for k in ("x", "y", "z")):
-        keys = ("x", "y", "z")
-        kernel = False
+    for triple in (IdempotentTriple, RangeTriple):
+        keys = [f.name for f in fields(triple)]
+        if all(k in doc for k in keys):
+            break
     else:
         raise ParseError(
             f"triple at {where} needs either m/n/s or x/y/z components",
@@ -208,9 +191,7 @@ def parse_triple_body(doc: dict, where: str = "$"):
             )
         spaces.append(space)
     # Triple constructors re-check their validity condition on load.
-    if kernel:
-        return IdempotentTriple(*spaces)
-    return RangeTriple(*spaces)
+    return triple(*spaces)
 
 
 def parse_document(text: str) -> DocumentEnvelope:

@@ -41,13 +41,6 @@ def _require_same_ambient(*spaces: Subspace):
 
 
 @lru_cache(maxsize=4096)
-def _semi_projection_cached(m: Subspace, n: Subspace) -> LinearRelation:
-    ambient = m.ambient_dim
-    return LinearRelation.identity_on(m).hat_sum(
-        LinearRelation.product_space(n, Subspace.zero(ambient))
-    )
-
-
 def semi_projection(m: Subspace, n: Subspace) -> LinearRelation:
     """P_{M,N} = I_M hat-plus (N x {0}): ran = M, ker = N, dom = M + N,
     mul = M meet N.
@@ -56,7 +49,9 @@ def semi_projection(m: Subspace, n: Subspace) -> LinearRelation:
     canonical-form builders, and relations are immutable.
     """
     _require_same_ambient(m, n)
-    return _semi_projection_cached(m, n)
+    return LinearRelation.identity_on(m).hat_sum(
+        LinearRelation.product_space(n, Subspace.zero(m.ambient_dim))
+    )
 
 
 def sub_form(m: Subspace, n: Subspace, s: Subspace) -> LinearRelation:

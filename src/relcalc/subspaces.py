@@ -12,7 +12,7 @@ import weakref
 
 from . import _rowops
 from .errors import DimensionError
-from .matrices import ExactMatrix, ints_to_row, row_to_ints
+from .matrices import ints_to_row, row_to_ints
 
 # Canonical interning: equal subspaces are the same object, so derived
 # caches (orthogonal complements, relation parts) are shared globally.
@@ -22,7 +22,7 @@ _interned: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
 class Subspace:
     """A linear subspace of F^ambient_dim in canonical form."""
 
-    __slots__ = ("ambient_dim", "_pivots", "_rows", "_perp", "_hash", "__weakref__")
+    __slots__ = ("ambient_dim", "_pivots", "_rows", "_perp", "__weakref__")
 
     def __init__(self, ambient_dim: int, pivots, rows, _internal=False):
         if not _internal:
@@ -31,7 +31,6 @@ class Subspace:
         self._pivots = tuple(pivots)
         self._rows = tuple(rows)
         self._perp = None
-        self._hash = None
 
     # -- construction ----------------------------------------------------
 
@@ -86,14 +85,6 @@ class Subspace:
     def is_zero(self) -> bool:
         return not self._rows
 
-    @property
-    def basis(self) -> ExactMatrix:
-        """Canonical RREF basis, one row per dimension (0 rows when zero)."""
-        entries = []
-        for row in self._rows:
-            entries.extend(ints_to_row(row))
-        return ExactMatrix(self.dim, self.ambient_dim, entries)
-
     def basis_vectors(self):
         return [ints_to_row(row) for row in self._rows]
 
@@ -109,9 +100,7 @@ class Subspace:
         return self.ambient_dim == other.ambient_dim and self._rows == other._rows
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self.key())
-        return self._hash
+        return hash(self.key())
 
     def __repr__(self) -> str:
         vecs = ", ".join(

@@ -17,9 +17,10 @@ from __future__ import annotations
 import gc
 import hashlib
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable
 
+from .angles import require_tol
 from .documents import document_dict, wrap
 from .errors import DimensionError, PreconditionError
 from .idempotents import (
@@ -30,7 +31,7 @@ from .idempotents import (
     sub_form,
     super_form,
 )
-from .relations import LinearRelation
+from .relations import LinearRelation, _combine_rows
 from .scalars import GaussianRational
 from .subspaces import Subspace
 
@@ -58,17 +59,10 @@ class GenConfig:
             raise PreconditionError("trials must be nonnegative")
         if self.max_entry < 1:
             raise PreconditionError("max_entry must be at least 1")
+        require_tol(self.tol)
 
     def json_dict(self) -> dict:
-        return {
-            "ambient_dim": self.ambient_dim,
-            "trials": self.trials,
-            "seed": self.seed,
-            "max_entry": self.max_entry,
-            "complex_enabled": self.complex_enabled,
-            "extremality_samples": self.extremality_samples,
-            "tol": self.tol,
-        }
+        return asdict(self)
 
 
 def trial_rng(seed: int, check_name: str, index: int) -> random.Random:
@@ -240,21 +234,14 @@ def random_subrelation(rng, cfg, t: LinearRelation) -> LinearRelation:
     rows = t.graph._rows
     k = rng.randint(0, len(rows))
     width = t.dim_in + t.dim_out
-    combos = []
+    coeffs = []
     for _ in range(k):
-        re = [0] * width
-        im = [0] * width
-        for _, bre, bim in rows:
-            a = rng.randint(-2, 2)
-            b = rng.randint(-2, 2) if cfg.complex_enabled else 0
-            if not a and not b:
-                continue
-            for j in range(width):
-                x = bre[j]
-                y = bim[j] if bim is not None else 0
-                re[j] += a * x - b * y
-                im[j] += a * y + b * x
-        combos.append((1, tuple(re), tuple(im) if any(im) else None))
+        re, im = [], []
+        for _ in rows:
+            re.append(rng.randint(-2, 2))
+            im.append(rng.randint(-2, 2) if cfg.complex_enabled else 0)
+        coeffs.append((1, re, im))
+    combos = _combine_rows(coeffs, [(re, im) for _, re, im in rows], width)
     return LinearRelation(
         t.dim_in, t.dim_out, Subspace.from_int_rows(combos, width)
     )
@@ -317,12 +304,7 @@ class CheckResult:
     counterexample: dict | None = None
 
     def json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "trials": self.trials,
-            "failures": self.failures,
-            "counterexample": self.counterexample,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -357,8 +339,11 @@ def verify_suite(
     unknown = [n for n in selected if n not in CHECKS]
     if unknown:
         raise PreconditionError(f"unknown checks: {', '.join(unknown)}")
-    # The exact arithmetic allocates heavily but creates few cycles; a less
-    # eager collector saves about a tenth of the runtime.
+    # Not a speed-up (without it the run time is the same).  It keeps the
+    # work counts stable: interned values held only by the _perp/_inverse/
+    # _one_minus reference cycles serve as a cache until the cyclic collector
+    # frees them, so the collector's schedule changes how many rref calls a
+    # run makes, e.g. with or without a tracer wrapped around the layers.
     old_threshold = gc.get_threshold()
     gc.set_threshold(200000, 100, 100)
     try:

@@ -5,13 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from relcalc import GaussianRational, Subspace
+from relcalc import GaussianRational, PreconditionError, Subspace
 from relcalc.angles import (
+    MAX_TOL,
+    MIN_TOL,
     angles_record,
     dixmier_cos,
     friedrichs_cos,
     orthonormal_basis_f64,
 )
+from relcalc.verifier import GenConfig
 
 I = GaussianRational(0, 1)
 
@@ -104,3 +107,40 @@ def test_angles_record_fields():
     assert rec["intersection_dim"] == 0
     assert rec["dixmier_cos"] == pytest.approx(rec["friedrichs_cos"], abs=1e-12)
     assert rec["ambient"] == 2
+
+
+ENTRY_POINTS = {
+    "orthonormal_basis_f64": lambda s, t, tol: orthonormal_basis_f64(s, tol),
+    "dixmier_cos": dixmier_cos,
+    "friedrichs_cos": friedrichs_cos,
+    "angles_record": angles_record,
+    "GenConfig": lambda s, t, tol: GenConfig(tol=tol),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize(
+    "tol, ok",
+    [
+        (MIN_TOL, True),
+        (1e-9, True),
+        (MAX_TOL, True),
+        (math.nan, False),
+        (math.inf, False),
+        (-1.0, False),
+        (0.0, False),
+        (1e-300, False),
+        (MIN_TOL / 2, False),
+        (0.6, False),
+    ],
+)
+def test_tolerance_range_is_shared(name, tol, ok):
+    """Every angle entry point and the fuzz config accept exactly the same
+    tolerances; the rest are bad input (exit 4), never a Gram-check breach."""
+    call = ENTRY_POINTS[name]
+    s, t = span([e(0, 2)], 2), span([[1, 1]], 2)
+    if ok:
+        call(s, t, tol)
+    else:
+        with pytest.raises(PreconditionError):
+            call(s, t, tol)

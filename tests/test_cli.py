@@ -132,6 +132,12 @@ def test_parse_error_exit_code(tmp_path, capsys, monkeypatch):
     assert code == 2
     assert json.loads(err)["code"] == 2
 
+    # Ill-typed options: argparse errors become records, not usage text.
+    for argv in (["fuzz", "--seed", "abc"], ["fuzz", "--dim", "x"]):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert json.loads(err)["code"] == 2
+
 
 def test_wrong_kind_rejected(spaces, capsys):
     code, _, err = run(capsys, "classify", spaces["m"])
@@ -181,6 +187,17 @@ def test_angles_record(spaces, capsys, tmp_path):
     assert rec["intersection_dim"] == 1
     assert rec["friedrichs_cos"] == 0.0
     assert rec["dixmier_cos"] == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "0", "1e-300", "inf", "0.6"])
+def test_bad_tolerance_is_a_precondition_error(spaces, capsys, tol):
+    for argv in (
+        ["angles", spaces["m"], spaces["diag"], "--tol", tol],
+        ["fuzz", "--trials", "1", "--checks", "angle_range_symmetry", "--tol", tol],
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 4
+        assert json.loads(err)["code"] == 4
 
 
 def test_fuzz_deterministic_and_passing(capsys, tmp_path):
