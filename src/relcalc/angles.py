@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InternalCheckError, PreconditionError
 from .subspaces import Subspace
 
@@ -52,8 +50,12 @@ def orthonormal_basis_f64(s: Subspace, tol: float = DEFAULT_TOL) -> FloatBasis:
 
     The exact basis rows are independent, so no rank decisions happen in
     floats; the Gram matrix is checked against the identity to ``tol``.
+    numpy is imported here, on first use, so the exact subcommands never
+    load it.
     """
     require_tol(tol)
+    import numpy as np
+
     n = s.ambient_dim
     if s.is_zero():
         return FloatBasis(n, np.zeros((0, n), dtype=np.complex128))
@@ -87,6 +89,8 @@ def dixmier_cos(s: Subspace, t: Subspace, tol: float = DEFAULT_TOL) -> float:
     require_tol(tol)
     if s.is_zero() or t.is_zero():
         return 0.0
+    import numpy as np
+
     bs = orthonormal_basis_f64(s, tol)
     bt = orthonormal_basis_f64(t, tol)
     cross = bs.vectors @ bt.vectors.conj().T

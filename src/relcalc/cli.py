@@ -17,7 +17,6 @@ from . import angles, documents, idempotents
 from .errors import ICViolationError, ParseError, RelcalcError
 from .relations import LinearRelation
 from .subspaces import Subspace
-from .verifier import CHECKS, GenConfig, verify_suite
 
 DEFAULT_SEED_ENV = "RELCALC_SEED"
 
@@ -171,6 +170,10 @@ def _cmd_angles(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
+    # The verifier (and the checks it registers) loads only for fuzz and
+    # checks; every other subcommand starts without it.
+    from .verifier import GenConfig, verify_suite
+
     if args.seed is not None:
         seed = args.seed
     else:
@@ -198,6 +201,8 @@ def _cmd_fuzz(args) -> int:
 
 
 def _cmd_checks(args) -> int:
+    from .verifier import CHECKS
+
     record = {
         name: {"claims": list(spec.claims), "angle": spec.angle}
         for name, spec in CHECKS.items()

@@ -22,6 +22,12 @@ FORMAT_VERSION = "1"
 
 KINDS = ("subspace", "relation", "triple", "report")
 
+# Largest ambient, dim_in or dim_out a document may declare: far beyond what
+# the exact engine answers in reasonable time, and small enough that a tiny
+# file cannot ask for a huge allocation (perp() of a zero subspace builds an
+# ambient-sized basis).
+MAX_DOCUMENT_DIM = 256
+
 
 @dataclass(frozen=True)
 class DocumentEnvelope:
@@ -125,6 +131,12 @@ def _require_count(doc: dict, key: str, where: str) -> int:
             f"field {key!r} at {where} must be a nonnegative integer",
             field=f"{where}.{key}",
         )
+    if value > MAX_DOCUMENT_DIM:
+        raise ParseError(
+            f"field {key!r} at {where} is {value}, above the limit "
+            f"{MAX_DOCUMENT_DIM}",
+            field=f"{where}.{key}",
+        )
     return value
 
 
@@ -203,6 +215,11 @@ def parse_document(text: str) -> DocumentEnvelope:
             line=exc.lineno,
             column=exc.colno,
         ) from None
+    except ValueError as exc:
+        # int() refuses number literals past the interpreter's digit limit.
+        raise ParseError(f"number literal out of range: {exc}") from None
+    except RecursionError:
+        raise ParseError("document text nested too deeply") from None
     if not isinstance(doc, dict):
         raise ParseError("document must be a JSON object")
     kind = doc.get("kind")

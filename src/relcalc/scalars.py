@@ -8,6 +8,7 @@ floats.
 from __future__ import annotations
 
 import re as _re
+import sys
 from fractions import Fraction
 
 from .errors import ParseError, PreconditionError
@@ -128,7 +129,17 @@ def as_scalar(value) -> GaussianRational:
 
 
 def _format_rational(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    try:
+        return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    except ValueError:
+        # Past the interpreter's int->str digit limit.  Exact results of
+        # small inputs can be that long, and they are printed in full.
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return _format_rational(q)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 def format_scalar(z: GaussianRational) -> str:

@@ -22,7 +22,7 @@ from typing import Callable, Iterable
 
 from .angles import require_tol
 from .documents import document_dict, wrap
-from .errors import DimensionError, PreconditionError
+from .errors import DimensionError, InternalCheckError, PreconditionError
 from .idempotents import (
     IdempotentTriple,
     RangeTriple,
@@ -333,7 +333,9 @@ def verify_suite(
     """Run the selected checks (all by default) and assemble the report.
 
     Counterexamples are data; only internal invariant breaches escape as
-    exceptions.
+    exceptions, always an :class:`InternalCheckError` whose context names
+    the check and the trial (any other exception a check raises is wrapped
+    in one).
     """
     selected = list(CHECKS) if names is None else list(names)
     unknown = [n for n in selected if n not in CHECKS]
@@ -359,6 +361,15 @@ def verify_suite(
                     outcome = spec.fn(rng, cfg)
                 except (PreconditionError, DimensionError) as exc:
                     outcome = {"detail": f"unexpected error: {exc.message}"}
+                except InternalCheckError as exc:
+                    exc.context.update(check=name, trial=index)
+                    raise
+                except Exception as exc:
+                    raise InternalCheckError(
+                        f"check raised {type(exc).__name__}: {exc}",
+                        check=name,
+                        trial=index,
+                    ) from exc
                 if outcome is not None:
                     failures += 1
                     if first is None:

@@ -1,10 +1,14 @@
 """Command-line behavior: outputs, determinism, exit codes."""
 
 import json
+import random
+import sys
 
 import pytest
 
+from relcalc import Subspace, semi_projection
 from relcalc.cli import main
+from relcalc.documents import parse_document
 
 
 def write(path, payload):
@@ -122,7 +126,12 @@ def test_parse_error_exit_code(tmp_path, capsys, monkeypatch):
             "generators": [[["9" * 5000], ["1"]]],
         },
     )
-    for path in (str(bad), long_literal):
+    oversized = write(
+        tmp_path / "oversized.rel",
+        {"kind": "relation", "version": "1", "dim_in": 257, "dim_out": 1,
+         "generators": []},
+    )
+    for path in (str(bad), long_literal, oversized):
         code, _, err = run(capsys, "classify", path)
         assert code == 2
         assert json.loads(err)["code"] == 2
@@ -137,6 +146,41 @@ def test_parse_error_exit_code(tmp_path, capsys, monkeypatch):
         code, _, err = run(capsys, *argv)
         assert code == 2
         assert json.loads(err)["code"] == 2
+
+
+def test_exact_output_past_the_digit_limit(tmp_path, capsys):
+    # 3,000-digit entries parse; the rref of their span holds 2x2 minors of
+    # about 6,000 digits, past Python's 4,300-digit int->str limit.
+    rng = random.Random(7)
+    rows = [[rng.randrange(10**2999, 10**3000) for _ in range(3)] for _ in range(2)]
+    big = write(
+        tmp_path / "big.sub",
+        {
+            "kind": "subspace",
+            "version": "1",
+            "ambient": 3,
+            "basis": [[str(x) for x in row] for row in rows],
+        },
+    )
+    small = write(
+        tmp_path / "small.sub",
+        {"kind": "subspace", "version": "1", "ambient": 3, "basis": [["0", "0", "1"]]},
+    )
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "build", "pmn", big, small)
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == limit
+    doc = json.loads(out)
+    entries = [x for pair in doc["generators"] for half in pair for x in half]
+    assert max(len(x) for x in entries) > limit
+    # Reading it back needs the limit lifted: the parse side keeps it.
+    sys.set_int_max_str_digits(0)
+    try:
+        back = parse_document(out).payload
+    finally:
+        sys.set_int_max_str_digits(limit)
+    expected = semi_projection(Subspace.span(rows, 3), Subspace.span([[0, 0, 1]], 3))
+    assert back == expected
 
 
 def test_wrong_kind_rejected(spaces, capsys):

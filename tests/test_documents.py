@@ -15,6 +15,7 @@ from relcalc import (
     Subspace,
 )
 from relcalc.documents import (
+    MAX_DOCUMENT_DIM,
     DocumentEnvelope,
     document_dict,
     load_document,
@@ -161,6 +162,66 @@ def test_parse_error_contexts():
 
     with pytest.raises(ParseError):
         parse_document(json.dumps({"kind": "subspace", "version": "2", "ambient": 1, "basis": []}))
+
+
+def _subspace_doc(ambient):
+    return {"kind": "subspace", "version": "1", "ambient": ambient, "basis": []}
+
+
+# Each is rejected before any vector or subspace is built.
+OVERSIZED = [
+    (_subspace_doc(257), "$.ambient"),
+    (_subspace_doc(10**9), "$.ambient"),
+    (
+        {"kind": "relation", "version": "1", "dim_in": 257, "dim_out": 1,
+         "generators": []},
+        "$.dim_in",
+    ),
+    (
+        {"kind": "relation", "version": "1", "dim_in": 1, "dim_out": 10**9,
+         "generators": []},
+        "$.dim_out",
+    ),
+    (
+        {"kind": "triple", "version": "1", "ambient": 10**9,
+         "m": _subspace_doc(1), "n": _subspace_doc(1), "s": _subspace_doc(1)},
+        "$.ambient",
+    ),
+    (
+        {"kind": "triple", "version": "1", "ambient": 1,
+         "m": _subspace_doc(1), "n": _subspace_doc(257), "s": _subspace_doc(1)},
+        "$.n.ambient",
+    ),
+]
+
+
+@pytest.mark.parametrize("doc, field", OVERSIZED)
+def test_oversized_dimension_rejected(doc, field):
+    with pytest.raises(ParseError) as err:
+        parse_document(json.dumps(doc))
+    assert err.value.context == {"field": field}
+
+
+def test_dimension_limit_is_inclusive():
+    env = parse_document(json.dumps(_subspace_doc(MAX_DOCUMENT_DIM)))
+    assert env.payload == Subspace.zero(MAX_DOCUMENT_DIM)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # a number literal past Python's 4300-digit int limit
+        '{"kind": "subspace", "version": "1", "ambient": ' + "9" * 5000 + "}",
+        # nesting deeper than the JSON decoder's recursion limit
+        '{"kind": "subspace", "version": "1", "basis": '
+        + "[" * 100000
+        + "]" * 100000
+        + "}",
+    ],
+)
+def test_hostile_document_text_is_a_parse_error(text):
+    with pytest.raises(ParseError):
+        parse_document(text)
 
 
 def test_report_passthrough():

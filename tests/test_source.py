@@ -1,6 +1,11 @@
-"""Source hygiene: every module-level import in the package is used."""
+"""Source hygiene: every module-level import in the package is used, and
+the exact subcommands start without numpy or the fuzz verifier."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import relcalc
@@ -38,3 +43,75 @@ def test_no_unused_module_imports():
     modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
     assert len(modules) > 10
     assert [hit for path in modules for hit in unused_imports(path)] == []
+
+
+# Runs in a fresh interpreter; prints which heavy modules each step loaded.
+COLD_PATH_SCRIPT = """
+import json
+import sys
+
+HEAVY = ("numpy", "relcalc.verifier", "relcalc.checks")
+rel, sub, out, listing = sys.argv[1:]
+stages = {}
+
+
+def record(stage):
+    stages[stage] = [name for name in HEAVY if name in sys.modules]
+
+
+import relcalc
+
+record("import relcalc")
+from relcalc.cli import main
+
+record("import relcalc.cli")
+assert main(["classify", rel, "-o", out]) == 0
+record("classify")
+assert main(["angles", sub, sub, "-o", out]) == 0
+record("angles")
+assert main(["checks", "-o", listing]) == 0
+record("checks")
+print(json.dumps(stages))
+"""
+
+
+def test_cold_path_imports(tmp_path):
+    """Exact subcommands load neither numpy nor the fuzz verifier; ``angles``
+    loads numpy and ``checks`` the verifier, on first use."""
+    rel = tmp_path / "e.rel"
+    rel.write_text(
+        json.dumps(
+            {
+                "kind": "relation",
+                "version": "1",
+                "dim_in": 2,
+                "dim_out": 2,
+                "generators": [[["1", "0"], ["1", "0"]], [["0", "1"], ["0", "0"]]],
+            }
+        )
+    )
+    sub = tmp_path / "s.sub"
+    sub.write_text(
+        json.dumps(
+            {"kind": "subspace", "version": "1", "ambient": 2, "basis": [["1", "1"]]}
+        )
+    )
+    listing = tmp_path / "checks.json"
+    argv = [rel, sub, tmp_path / "out.json", listing]
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    done = subprocess.run(
+        [sys.executable, "-c", COLD_PATH_SCRIPT, *map(str, argv)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {
+        "import relcalc": [],
+        "import relcalc.cli": [],
+        "classify": [],
+        "angles": ["numpy"],
+        "checks": ["numpy", "relcalc.verifier", "relcalc.checks"],
+    }
+    assert len(json.loads(listing.read_text())) == 44

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from relcalc import classify
+from relcalc import InternalCheckError, classify
+from relcalc.cli import main
 from relcalc.documents import serialize_document, wrap
 from relcalc.verifier import (
     CHECKS,
@@ -131,6 +132,32 @@ def test_corrupted_check_reports_counterexample():
         json.dumps(entry.counterexample)
     finally:
         del CHECKS[name]
+
+
+@pytest.mark.parametrize("error", [ZeroDivisionError, InternalCheckError])
+def test_raising_check_is_attributed(error, capsys):
+    # an exception escaping a check names the check and the trial, exit 5
+    name = "deliberately_raising"
+    calls = []
+
+    def raising(rng, cfg):
+        calls.append(rng)
+        if len(calls) == 2:  # the second trial, index 1
+            raise error("raised on purpose")
+        return None
+
+    CHECKS[name] = CheckSpec(name, raising, ("self-test",))
+    try:
+        code = main(["fuzz", "--dim", "2", "--trials", "3", "--checks", name])
+    finally:
+        del CHECKS[name]
+    captured = capsys.readouterr()
+    assert code == 5
+    assert captured.out == ""
+    record = json.loads(captured.err)
+    assert record["code"] == 5
+    assert record["context"] == {"check": name, "trial": 1}
+    assert "raised on purpose" in record["message"]
 
 
 def test_every_claim_is_covered():
