@@ -2,7 +2,9 @@
 
 The pipeline is exact-first: intersections and relative complements are
 removed in Q(i) before any float conversion, so the only numerical work is
-orthonormalization and one small singular value computation.  The Dixmier
+orthonormalization and one small singular value computation, both done
+here on Python complex floats: up to a few dozen columns that costs less
+than loading an array library would.  The Dixmier
 cosine c0 is the largest singular value of the cross-Gram matrix of
 orthonormal bases; the Friedrichs cosine is c0 after exactly splitting off
 the intersection from both sides.  The supremum over an empty quotient is 0
@@ -11,6 +13,8 @@ by convention.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 from .errors import InternalCheckError, PreconditionError
@@ -22,6 +26,10 @@ DEFAULT_TOL = 1e-9
 # never fails on correct input; past 0.5, comparisons of cosines in [0, 1]
 # mean little.  Outside it the tolerance is bad input, not a breach.
 MIN_TOL, MAX_TOL = 1e-12, 0.5
+# One-sided Jacobi: a pair of rows counts as orthogonal once |<a, b>| <=
+# _JACOBI_EPS * |a| |b|; convergence is quadratic, so a few sweeps do.
+_JACOBI_EPS = 1e-15
+_JACOBI_SWEEPS = 60
 
 
 def require_tol(tol: float) -> None:
@@ -38,11 +46,21 @@ class FloatBasis:
     """Orthonormal float basis approximating an exact subspace."""
 
     ambient_dim: int
-    vectors: np.ndarray  # shape (dim, ambient_dim), complex128, rows orthonormal
+    vectors: tuple[tuple[complex, ...], ...]  # dim rows of ambient_dim, orthonormal
 
     @property
     def dim(self) -> int:
-        return self.vectors.shape[0]
+        return len(self.vectors)
+
+
+def vdot(u, w) -> complex:
+    """<u, w>, conjugate-linear in ``u``."""
+    return sum(map(operator.mul, map(complex.conjugate, u), w))
+
+
+def vector_norm(w) -> float:
+    """Euclidean norm; math.hypot scales, so large entries do not overflow."""
+    return math.hypot(*(x for z in w for x in (z.real, z.imag)))
 
 
 def orthonormal_basis_f64(s: Subspace, tol: float = DEFAULT_TOL) -> FloatBasis:
@@ -50,36 +68,61 @@ def orthonormal_basis_f64(s: Subspace, tol: float = DEFAULT_TOL) -> FloatBasis:
 
     The exact basis rows are independent, so no rank decisions happen in
     floats; the Gram matrix is checked against the identity to ``tol``.
-    numpy is imported here, on first use, so the exact subcommands never
-    load it.
+    Each row is divided exactly by its largest real or imaginary part
+    before conversion, so entries past the float range still convert.
     """
     require_tol(tol)
-    import numpy as np
-
-    n = s.ambient_dim
-    if s.is_zero():
-        return FloatBasis(n, np.zeros((0, n), dtype=np.complex128))
-    rows = np.array(
-        [[complex(z) for z in vec] for vec in s.basis_vectors()],
-        dtype=np.complex128,
-    )
-    basis: list[np.ndarray] = []
-    for v in rows:
-        w = v.copy()
+    basis: list[tuple[complex, ...]] = []
+    for vec in s.basis_vectors():
+        top = max(max(abs(z.re), abs(z.im)) for z in vec)
+        w = [complex(float(z.re / top), float(z.im / top)) for z in vec]
         for _ in range(2):
             for u in basis:
-                w = w - np.vdot(u, w) * u
-        norm = np.linalg.norm(w)
+                c = vdot(u, w)
+                w = [b - c * a for a, b in zip(u, w)]
+        norm = vector_norm(w)
         if norm <= tol:
             raise InternalCheckError(
                 "exact basis row collapsed during orthonormalization"
             )
-        basis.append(w / norm)
-    q = np.array(basis)
-    gram = q @ q.conj().T
-    if not np.allclose(gram, np.eye(len(basis)), atol=tol):
-        raise InternalCheckError("orthonormalization failed the Gram check")
-    return FloatBasis(n, q)
+        basis.append(tuple(z / norm for z in w))
+    for i, u in enumerate(basis):
+        for j, w in enumerate(basis):
+            if not abs(vdot(w, u) - (i == j)) <= tol:
+                raise InternalCheckError("orthonormalization failed the Gram check")
+    return FloatBasis(s.ambient_dim, tuple(basis))
+
+
+def _largest_singular_value(rows: list[list[complex]]) -> float:
+    """Largest singular value by one-sided Jacobi: rotate pairs of rows
+    until all are orthogonal, then the row norms are the singular values.
+    The rotations are unitary, so they keep the singular values, and the
+    norms are accurate to round-off relative to the largest one."""
+    for _ in range(_JACOBI_SWEEPS):
+        sq = [vector_norm(r) ** 2 for r in rows]
+        rotated = False
+        for p in range(len(rows)):
+            for q in range(p + 1, len(rows)):
+                a, b = rows[p], rows[q]
+                gamma = vdot(a, b)
+                g = abs(gamma)
+                if g <= _JACOBI_EPS * math.sqrt(sq[p] * sq[q]):
+                    continue
+                rotated = True
+                # With b scaled by the phase of conj(gamma), <a, b> = g is
+                # real; rotate by the smaller root t of t^2 + 2 zeta t - 1.
+                zeta = (sq[q] - sq[p]) / (2.0 * g)
+                t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
+                c = 1.0 / math.hypot(1.0, t)
+                cb = c * gamma.conjugate() / g
+                sb = t * cb
+                rows[p] = [c * x - sb * y for x, y in zip(a, b)]
+                rows[q] = [c * t * x + cb * y for x, y in zip(a, b)]
+                sq[p] = max(sq[p] - t * g, 0.0)
+                sq[q] = max(sq[q] + t * g, 0.0)
+        if not rotated:
+            break
+    return max(vector_norm(r) for r in rows)
 
 
 def dixmier_cos(s: Subspace, t: Subspace, tol: float = DEFAULT_TOL) -> float:
@@ -89,12 +132,14 @@ def dixmier_cos(s: Subspace, t: Subspace, tol: float = DEFAULT_TOL) -> float:
     require_tol(tol)
     if s.is_zero() or t.is_zero():
         return 0.0
-    import numpy as np
-
-    bs = orthonormal_basis_f64(s, tol)
-    bt = orthonormal_basis_f64(t, tol)
-    cross = bs.vectors @ bt.vectors.conj().T
-    top = float(np.linalg.svd(cross, compute_uv=False)[0])
+    bs = orthonormal_basis_f64(s, tol).vectors
+    bt = orthonormal_basis_f64(t, tol).vectors
+    if len(bs) > len(bt):
+        bs, bt = bt, bs
+    # One row per vector of the smaller basis; a conjugate transpose of
+    # the cross-Gram matrix has the same singular values.
+    cross = [[vdot(v, u) for v in bt] for u in bs]
+    top = _largest_singular_value(cross)
     return min(max(top, 0.0), 1.0)
 
 

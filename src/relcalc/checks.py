@@ -8,7 +8,13 @@ tolerance instead.
 
 from __future__ import annotations
 
-from .angles import dixmier_cos, friedrichs_cos, orthonormal_basis_f64
+from .angles import (
+    dixmier_cos,
+    friedrichs_cos,
+    orthonormal_basis_f64,
+    vdot,
+    vector_norm,
+)
 from .errors import ICViolationError
 from .idempotents import (
     IdempotentTriple,
@@ -876,8 +882,6 @@ def check_angle_monotonicity(rng, cfg):
 
 @check("angle_sampled_sup_bound", ["angle-sampled-sup-bound"], scale=0.4, angle=True)
 def check_angle_sampled_sup(rng, cfg):
-    import numpy as np
-
     s = random_subspace(rng, cfg)
     t = random_subspace(rng, cfg)
     c = friedrichs_cos(s, t, cfg.tol)
@@ -888,14 +892,14 @@ def check_angle_sampled_sup(rng, cfg):
     bs = orthonormal_basis_f64(s_part, cfg.tol)
     bt = orthonormal_basis_f64(t_part, cfg.tol)
     for _ in range(16):
-        a = np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(bs.dim)])
-        b = np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(bt.dim)])
-        x = a @ bs.vectors
-        y = b @ bt.vectors
-        nx, ny = np.linalg.norm(x), np.linalg.norm(y)
+        a = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(bs.dim)]
+        b = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(bt.dim)]
+        x = [sum(w * v[k] for w, v in zip(a, bs.vectors)) for k in range(bs.ambient_dim)]
+        y = [sum(w * v[k] for w, v in zip(b, bt.vectors)) for k in range(bt.ambient_dim)]
+        nx, ny = vector_norm(x), vector_norm(y)
         if nx < 1e-12 or ny < 1e-12:
             continue
-        sampled = abs(np.vdot(y, x)) / (nx * ny)
+        sampled = abs(vdot(y, x)) / (nx * ny)
         if sampled > c + 1e-9:
             return ce("sampled inner product exceeded the cosine", s=s, t=t,
                       sampled=float(sampled), c=c)

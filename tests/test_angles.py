@@ -1,6 +1,7 @@
-"""Float angle machinery against hand-computed values."""
+"""Float angle machinery against hand-computed values and numpy."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from relcalc import GaussianRational, PreconditionError, Subspace
 from relcalc.angles import (
     MAX_TOL,
     MIN_TOL,
+    _largest_singular_value,
     angles_record,
     dixmier_cos,
     friedrichs_cos,
@@ -32,25 +34,26 @@ def span(vectors, n):
 def test_orthonormal_normalizes():
     b = orthonormal_basis_f64(span([[2, 0]], 2))
     assert b.dim == 1
-    assert np.allclose(b.vectors, [[1.0, 0.0]])
+    assert np.allclose(np.array(b.vectors), [[1.0, 0.0]])
 
 
 def test_orthonormal_plane():
     b = orthonormal_basis_f64(span([e(0, 3), e(1, 3)], 3))
     assert b.dim == 2
-    gram = b.vectors @ b.vectors.conj().T
+    q = np.array(b.vectors)
+    gram = q @ q.conj().T
     assert np.allclose(gram, np.eye(2), atol=1e-12)
 
 
 def test_orthonormal_diagonal():
     b = orthonormal_basis_f64(span([[1, 1]], 2))
     root_half = math.sqrt(2) / 2
-    assert np.allclose(np.abs(b.vectors), [[root_half, root_half]], atol=1e-12)
+    assert np.allclose(np.abs(np.array(b.vectors)), [[root_half, root_half]], atol=1e-12)
 
 
 def test_orthonormal_zero_subspace():
     b = orthonormal_basis_f64(Subspace.zero(3))
-    assert b.dim == 0 and b.vectors.shape == (0, 3)
+    assert b.dim == 0 and b.vectors == () and b.ambient_dim == 3
 
 
 def test_dixmier_identical_lines():
@@ -100,6 +103,64 @@ def test_complex_line_angles():
     t = span([[1, -1]], 2)
     # |<(1,i)/sqrt2, (1,-1)/sqrt2>| = |1 - (-1)*(-i)|/2 = |1 - i|/2 = sqrt2/2
     assert dixmier_cos(s, t) == pytest.approx(math.sqrt(2) / 2, abs=1e-9)
+
+
+def test_largest_singular_value_matches_lapack():
+    """The Jacobi routine against numpy's SVD, including rank-deficient
+    rows, tiny entries and equal singular values."""
+    rng = random.Random(11)
+    for _ in range(400):
+        k = rng.randint(1, 8)
+        n = rng.randint(k, 8)
+        m = [[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(n)] for _ in range(k)]
+        shape = rng.randrange(4)
+        if shape == 1:
+            m = [list(m[0]) for _ in m]
+        elif shape == 2:
+            m = [[z * 1e-14 for z in row] for row in m]
+        elif shape == 3:
+            q, _ = np.linalg.qr(np.array(m).conj().T)
+            m = [list(row) for row in q.conj().T]
+        want = np.linalg.svd(np.array(m), compute_uv=False)[0]
+        got = _largest_singular_value([list(row) for row in m])
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+
+def test_dixmier_matches_lapack():
+    """c0 of random exact subspaces against a QR and SVD done by numpy."""
+    rng = random.Random(12)
+    for _ in range(60):
+        n = rng.randint(2, 6)
+        s, t = (
+            span(
+                [
+                    [GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(n)]
+                    for _ in range(rng.randint(1, n))
+                ],
+                n,
+            )
+            for _ in range(2)
+        )
+        if s.is_zero() or t.is_zero():
+            continue
+        qs, qt = (
+            np.linalg.qr(np.array([[complex(z) for z in v] for v in x.basis_vectors()]).T)[0]
+            for x in (s, t)
+        )
+        want = min(np.linalg.svd(qs.conj().T @ qt, compute_uv=False)[0], 1.0)
+        assert dixmier_cos(s, t) == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("big", [10**200, 10**400, GaussianRational(1, 10**400)])
+def test_entries_past_the_float_range(big):
+    """Rows are scaled exactly before the float conversion, so huge entries
+    neither overflow nor fail the Gram check."""
+    s = span([[1, big]], 2)
+    t = span([[0, 1]], 2)
+    assert dixmier_cos(s, t) == pytest.approx(1.0, abs=1e-12)
+    assert angles_record(s, span([[1, 1]], 2))["dixmier_cos"] == pytest.approx(
+        math.sqrt(2) / 2, abs=1e-12
+    )
 
 
 def test_angles_record_fields():

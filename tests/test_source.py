@@ -1,5 +1,5 @@
-"""Source hygiene: every module-level import in the package is used, and
-the exact subcommands start without numpy or the fuzz verifier."""
+"""Source hygiene: every module-level import in the package is used, no
+subcommand loads numpy, and only ``fuzz`` and ``checks`` load the verifier."""
 
 import ast
 import json
@@ -76,8 +76,8 @@ print(json.dumps(stages))
 
 
 def test_cold_path_imports(tmp_path):
-    """Exact subcommands load neither numpy nor the fuzz verifier; ``angles``
-    loads numpy and ``checks`` the verifier, on first use."""
+    """No subcommand loads numpy, ``angles`` included; only ``checks`` (and
+    ``fuzz``) load the fuzz verifier, on first use."""
     rel = tmp_path / "e.rel"
     rel.write_text(
         json.dumps(
@@ -111,7 +111,7 @@ def test_cold_path_imports(tmp_path):
         "import relcalc": [],
         "import relcalc.cli": [],
         "classify": [],
-        "angles": ["numpy"],
-        "checks": ["numpy", "relcalc.verifier", "relcalc.checks"],
+        "angles": [],
+        "checks": ["relcalc.verifier", "relcalc.checks"],
     }
     assert len(json.loads(listing.read_text())) == 44
