@@ -27,8 +27,11 @@ def _emit(text: str, path: str | None):
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ParseError(f"cannot write {path}: {exc.strerror}", path=path) from None
 
 
 def _emit_json(payload: dict, path: str | None):

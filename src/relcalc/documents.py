@@ -249,3 +249,5 @@ def load_document(path: str) -> DocumentEnvelope:
             return parse_document(fh.read())
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}", path=path) from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc.reason}", path=path) from None

@@ -19,7 +19,6 @@ condition (M+N) meet S = M meet N holds, or the range triple
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .errors import (
     DimensionError,
@@ -28,7 +27,7 @@ from .errors import (
     NotIdempotentError,
 )
 from .relations import LinearRelation
-from .subspaces import Subspace
+from .subspaces import Subspace, memoized
 
 
 def _require_same_ambient(*spaces: Subspace):
@@ -40,13 +39,13 @@ def _require_same_ambient(*spaces: Subspace):
 # -- canonical builders -------------------------------------------------------
 
 
-@lru_cache(maxsize=4096)
+@memoized
 def semi_projection(m: Subspace, n: Subspace) -> LinearRelation:
     """P_{M,N} = I_M hat-plus (N x {0}): ran = M, ker = N, dom = M + N,
     mul = M meet N.
 
-    Memoized: the same (range, kernel) pair recurs constantly inside the
-    canonical-form builders, and relations are immutable.
+    Memoized (see :mod:`relcalc.subspaces`): the same (range, kernel) pair
+    recurs constantly inside the canonical-form builders.
     """
     _require_same_ambient(m, n)
     return LinearRelation.identity_on(m).hat_sum(
@@ -198,6 +197,7 @@ def _graph_witness(bigger: LinearRelation, smaller: LinearRelation):
     return None
 
 
+@memoized
 def classify(e: LinearRelation) -> Classification:
     """Flags for sub/super/idempotent/semi-projection/projection.
 
@@ -205,8 +205,6 @@ def classify(e: LinearRelation) -> Classification:
     E o E) and through the part criterion.  Disagreement means the kernel
     itself is broken and raises immediately rather than returning a flag.
     """
-    if e._classification is not None:
-        return e._classification
     e._require_square()
     parts = e.parts()
     e2 = e.squared()
@@ -244,7 +242,7 @@ def classify(e: LinearRelation) -> Classification:
             witness = _graph_witness(semi_projection(parts.ran, parts.ker), e)
         witnesses["not_semi_projection"] = witness
     is_operator = parts.mul.is_zero()
-    e._classification = Classification(
+    return Classification(
         is_operator=is_operator,
         is_sub=sub_def,
         is_super=super_def,
@@ -253,7 +251,6 @@ def classify(e: LinearRelation) -> Classification:
         is_projection=is_semi and is_operator,
         witnesses=witnesses,
     )
-    return e._classification
 
 
 def square(e: LinearRelation) -> LinearRelation:

@@ -1,8 +1,8 @@
 """Linear relations: subspaces of F^n x F^m acting as multivalued maps.
 
 A relation T from F^n to F^m is stored purely as the canonical graph
-subspace; domain, range, kernel and multivalued part are derived (and
-cached) on demand, so there is a single source of truth.
+subspace; domain, range, kernel and multivalued part are derived on demand
+and held in the memo of :mod:`relcalc.subspaces`: one source of truth.
 
 Composition and the pointwise sum are computed by existential elimination:
 the constrained coefficient space of generator pairs is solved exactly and
@@ -16,7 +16,7 @@ from typing import NamedTuple
 from . import _rowops
 from .errors import DimensionError
 from .matrices import ExactMatrix, row_to_ints
-from .subspaces import Subspace
+from .subspaces import Subspace, involution, memo, memoized
 
 
 class RelationParts(NamedTuple):
@@ -63,28 +63,10 @@ def _combine_rows(coeff_rows, blocks_list, width):
     return out
 
 
-import weakref
-
-# Interning mirrors the subspace layer: one object per mathematical value,
-# so every derived cache (parts, adjoint, classification) is shared.
-_interned: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
-
-
 class LinearRelation:
     """A linear relation from F^dim_in to F^dim_out."""
 
-    __slots__ = (
-        "dim_in",
-        "dim_out",
-        "graph",
-        "_parts",
-        "_inverse",
-        "_adjoint",
-        "_one_minus",
-        "_classification",
-        "_square",
-        "__weakref__",
-    )
+    __slots__ = ("dim_in", "dim_out", "graph", "_hash")
 
     def __new__(cls, dim_in: int, dim_out: int, graph: Subspace):
         if graph.ambient_dim != dim_in + dim_out:
@@ -92,21 +74,13 @@ class LinearRelation:
                 f"graph ambient {graph.ambient_dim} != {dim_in} + {dim_out}"
             )
         key = (dim_in, dim_out, graph)
-        got = _interned.get(key)
-        if got is not None:
-            return got
-        obj = super().__new__(cls)
-        obj.dim_in = dim_in
-        obj.dim_out = dim_out
-        obj.graph = graph
-        obj._parts = None
-        obj._inverse = None
-        obj._adjoint = None
-        obj._one_minus = None
-        obj._classification = None
-        obj._square = None
-        _interned[key] = obj
-        return obj
+
+        def make():
+            obj = object.__new__(cls)
+            obj.dim_in, obj.dim_out, obj.graph, obj._hash = *key, hash(key)
+            return obj
+
+        return memo(key, make)
 
     # -- constructors ------------------------------------------------------
 
@@ -189,7 +163,7 @@ class LinearRelation:
         )
 
     def __hash__(self):
-        return hash((self.dim_in, self.dim_out, self.graph))
+        return self._hash
 
     def __repr__(self) -> str:
         return (
@@ -224,19 +198,17 @@ class LinearRelation:
 
     # -- parts ---------------------------------------------------------------
 
+    @memoized
     def parts(self) -> RelationParts:
-        if self._parts is None:
-            n, m = self.dim_in, self.dim_out
-            dom_rows = []
-            ran_rows = []
-            for den, re, im in self.graph._rows:
-                dom_rows.append((den, re[:n], None if im is None else im[:n]))
-                ran_rows.append((den, re[n:], None if im is None else im[n:]))
-            dom = Subspace.from_int_rows(dom_rows, n)
-            ran = Subspace.from_int_rows(ran_rows, m)
-            ker = self.inverse().mul
-            self._parts = RelationParts(dom, ran, ker, self.mul)
-        return self._parts
+        n, m = self.dim_in, self.dim_out
+        dom_rows = []
+        ran_rows = []
+        for den, re, im in self.graph._rows:
+            dom_rows.append((den, re[:n], None if im is None else im[:n]))
+            ran_rows.append((den, re[n:], None if im is None else im[n:]))
+        dom = Subspace.from_int_rows(dom_rows, n)
+        ran = Subspace.from_int_rows(ran_rows, m)
+        return RelationParts(dom, ran, self.inverse().mul, self.mul)
 
     @property
     def dom(self) -> Subspace:
@@ -251,9 +223,8 @@ class LinearRelation:
         return self.parts().ker
 
     @property
+    @memoized
     def mul(self) -> Subspace:
-        if self._parts is not None:
-            return self._parts.mul
         n, m = self.dim_in, self.dim_out
         rows = []
         pivots = []
@@ -272,38 +243,30 @@ class LinearRelation:
 
     # -- unary operations ----------------------------------------------------
 
+    @involution
     def inverse(self) -> "LinearRelation":
         """Slot swap: {(y, x) : (x, y) in T}."""
-        if self._inverse is None:
-            n, m = self.dim_in, self.dim_out
-            swapped = [
-                (den, re[n:] + re[:n], None if im is None else im[n:] + im[:n])
-                for den, re, im in self.graph._rows
-            ]
-            inv = LinearRelation(
-                m, n, Subspace.from_int_rows(swapped, n + m)
-            )
-            inv._inverse = self
-            self._inverse = inv
-        return self._inverse
+        n, m = self.dim_in, self.dim_out
+        swapped = [
+            (den, re[n:] + re[:n], None if im is None else im[n:] + im[:n])
+            for den, re, im in self.graph._rows
+        ]
+        return LinearRelation(m, n, Subspace.from_int_rows(swapped, n + m))
 
+    @involution
     def one_minus(self) -> "LinearRelation":
         """I - T = {(u, u - v) : (u, v) in T}; square relations only."""
-        if self._one_minus is None:
-            self._require_square()
-            n = self.dim_in
-            rows = []
-            for den, re, im in self.graph._rows:
-                nre = list(re[:n]) + [re[k] - re[n + k] for k in range(n)]
-                if im is None:
-                    nim = None
-                else:
-                    nim = list(im[:n]) + [im[k] - im[n + k] for k in range(n)]
-                rows.append((den, nre, nim))
-            out = LinearRelation(n, n, Subspace.from_int_rows(rows, 2 * n))
-            out._one_minus = self
-            self._one_minus = out
-        return self._one_minus
+        self._require_square()
+        n = self.dim_in
+        rows = []
+        for den, re, im in self.graph._rows:
+            nre = list(re[:n]) + [re[k] - re[n + k] for k in range(n)]
+            if im is None:
+                nim = None
+            else:
+                nim = list(im[:n]) + [im[k] - im[n + k] for k in range(n)]
+            rows.append((den, nre, nim))
+        return LinearRelation(n, n, Subspace.from_int_rows(rows, 2 * n))
 
     def negate(self) -> "LinearRelation":
         """{(x, -y) : (x, y) in T}; helper behind the pointwise-sum cross
@@ -322,6 +285,7 @@ class LinearRelation:
         """Topological closure; the identity map in finite dimension."""
         return self
 
+    @memoized
     def adjoint(self) -> "LinearRelation":
         """T* = {(x, y) : <g, x> = <f, y> for all (f, g) in T}.
 
@@ -329,22 +293,20 @@ class LinearRelation:
         (x, y) in F^m x F^n; conjugating it gives the row
         (conj(g), -conj(f)), and T* is the exact null space of those rows.
         """
-        if self._adjoint is None:
-            n, m = self.dim_in, self.dim_out
-            width = m + n
-            cond_rows = []
-            for _, re, im in self.graph._rows:
-                cre = list(re[n:]) + [-x for x in re[:n]]
-                if im is None:
-                    cim = None
-                else:
-                    cim = [-x for x in im[n:]] + list(im[:n])
-                cond_rows.append(_rowops.make_row(cre, cim))
-            pivots, rows = _rowops.rref(cond_rows, width)
-            null_pivots, null_rows = _rowops.nullspace(pivots, rows, width)
-            graph = Subspace._from_rref(width, null_pivots, null_rows)
-            self._adjoint = LinearRelation(m, n, graph)
-        return self._adjoint
+        n, m = self.dim_in, self.dim_out
+        width = m + n
+        cond_rows = []
+        for _, re, im in self.graph._rows:
+            cre = list(re[n:]) + [-x for x in re[:n]]
+            if im is None:
+                cim = None
+            else:
+                cim = [-x for x in im[n:]] + list(im[:n])
+            cond_rows.append(_rowops.make_row(cre, cim))
+        pivots, rows = _rowops.rref(cond_rows, width)
+        null_pivots, null_rows = _rowops.nullspace(pivots, rows, width)
+        graph = Subspace._from_rref(width, null_pivots, null_rows)
+        return LinearRelation(m, n, graph)
 
     # -- binary operations -----------------------------------------------------
 
@@ -435,11 +397,10 @@ class LinearRelation:
     def __matmul__(self, other):
         return self.compose(other)
 
+    @memoized
     def squared(self) -> "LinearRelation":
-        """E o E, cached; classification and the square-law checks share it."""
-        if self._square is None:
-            self._square = self.compose(self)
-        return self._square
+        """E o E, memoized; classify and the square-law checks share it."""
+        return self.compose(self)
 
 
 def _coefficient_nullspace(t_rows, s_rows, t_cols, s_cols):

@@ -8,21 +8,71 @@ identical.  The inner product is conjugate-linear in the second argument:
 
 from __future__ import annotations
 
-import weakref
+import functools
 
 from . import _rowops
 from .errors import DimensionError
 from .matrices import ints_to_row, row_to_ints
 
-# Canonical interning: equal subspaces are the same object, so derived
-# caches (orthogonal complements, relation parts) are shared globally.
-_interned: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
+# The one cache of the value layer.  It interns subspaces and relations (one
+# object per value while the entry lasts) and holds the derived values of the
+# functions below decorated with ``memoized`` or ``involution``.  Entries are
+# strong and the dict is emptied when it reaches the bound, so memory is
+# bounded and the work a run does depends only on the calls it makes.  An
+# evicted value stays correct: equality and hashing are by value, and a
+# re-created copy recomputes what it needs.
+MEMO_BOUND = 8192
+_memo: dict = {}
+
+
+def _store(key, value):
+    if len(_memo) >= MEMO_BOUND:
+        _memo.clear()
+    _memo[key] = value
+    return value
+
+
+def memo(key, make):
+    """The value stored under ``key``; ``make()`` builds it on a miss."""
+    try:
+        return _memo[key]
+    except KeyError:
+        return _store(key, make())
+
+
+def memoized(fn):
+    """Cache ``fn(*args)`` in the memo under ``(fn, *args)``."""
+
+    @functools.wraps(fn)
+    def wrapper(*args):
+        try:
+            return _memo[(fn, *args)]
+        except KeyError:
+            return _store((fn, *args), fn(*args))
+
+    return wrapper
+
+
+def involution(fn):
+    """``memoized`` for an ``fn`` with fn(fn(x)) = x: a miss also stores x
+    as the value at the result."""
+
+    @functools.wraps(fn)
+    def wrapper(x):
+        try:
+            return _memo[fn, x]
+        except KeyError:
+            value = _store((fn, x), fn(x))
+            _store((fn, value), x)
+            return value
+
+    return wrapper
 
 
 class Subspace:
     """A linear subspace of F^ambient_dim in canonical form."""
 
-    __slots__ = ("ambient_dim", "_pivots", "_rows", "_perp", "__weakref__")
+    __slots__ = ("ambient_dim", "_pivots", "_rows", "_hash")
 
     def __init__(self, ambient_dim: int, pivots, rows, _internal=False):
         if not _internal:
@@ -30,20 +80,17 @@ class Subspace:
         self.ambient_dim = ambient_dim
         self._pivots = tuple(pivots)
         self._rows = tuple(rows)
-        self._perp = None
+        self._hash = hash(self.key())
 
     # -- construction ----------------------------------------------------
 
     @classmethod
     def _from_rref(cls, ambient_dim, pivots, rows) -> "Subspace":
         rows = tuple(rows)
-        key = (ambient_dim, rows)
-        got = _interned.get(key)
-        if got is not None:
-            return got
-        obj = cls(ambient_dim, pivots, rows, _internal=True)
-        _interned[key] = obj
-        return obj
+        return memo(
+            (ambient_dim, rows),
+            lambda: cls(ambient_dim, pivots, rows, _internal=True),
+        )
 
     @classmethod
     def from_int_rows(cls, int_rows, ambient_dim: int) -> "Subspace":
@@ -100,7 +147,7 @@ class Subspace:
         return self.ambient_dim == other.ambient_dim and self._rows == other._rows
 
     def __hash__(self):
-        return hash(self.key())
+        return self._hash
 
     def __repr__(self) -> str:
         vecs = ", ".join(
@@ -134,19 +181,16 @@ class Subspace:
 
     __add__ = sum_with
 
+    @involution
     def perp(self) -> "Subspace":
         """Orthogonal complement under <x, y> = sum x_k conj(y_k)."""
-        if self._perp is None:
-            # x is orthogonal to every basis row s iff conj(s) . x = 0;
-            # conjugating a canonical basis keeps it canonical.
-            conj_rows = [_rowops.conjugate_row(r) for r in self._rows]
-            pivots, rows = _rowops.nullspace(
-                self._pivots, conj_rows, self.ambient_dim
-            )
-            out = Subspace._from_rref(self.ambient_dim, pivots, rows)
-            self._perp = out
-            out._perp = self
-        return self._perp
+        # x is orthogonal to every basis row s iff conj(s) . x = 0;
+        # conjugating a canonical basis keeps it canonical.
+        conj_rows = [_rowops.conjugate_row(r) for r in self._rows]
+        pivots, rows = _rowops.nullspace(
+            self._pivots, conj_rows, self.ambient_dim
+        )
+        return Subspace._from_rref(self.ambient_dim, pivots, rows)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Exact intersection via duality: (S1^perp + S2^perp)^perp."""

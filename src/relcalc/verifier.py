@@ -14,7 +14,6 @@ constructions the "true" sides.
 
 from __future__ import annotations
 
-import gc
 import hashlib
 import random
 from dataclasses import asdict, dataclass, field
@@ -57,6 +56,8 @@ class GenConfig:
             )
         if self.trials < 0:
             raise PreconditionError("trials must be nonnegative")
+        if self.extremality_samples < 0:
+            raise PreconditionError("extremality_samples must be nonnegative")
         if self.max_entry < 1:
             raise PreconditionError("max_entry must be at least 1")
         require_tol(self.tol)
@@ -341,42 +342,32 @@ def verify_suite(
     unknown = [n for n in selected if n not in CHECKS]
     if unknown:
         raise PreconditionError(f"unknown checks: {', '.join(unknown)}")
-    # Not a speed-up (without it the run time is the same).  It keeps the
-    # work counts stable: interned values held only by the _perp/_inverse/
-    # _one_minus reference cycles serve as a cache until the cyclic collector
-    # frees them, so the collector's schedule changes how many rref calls a
-    # run makes, e.g. with or without a tracer wrapped around the layers.
-    old_threshold = gc.get_threshold()
-    gc.set_threshold(200000, 100, 100)
-    try:
-        results = []
-        for name in selected:
-            spec = CHECKS[name]
-            count = spec.trial_count(cfg.trials)
-            failures = 0
-            first = None
-            for index in range(count):
-                rng = trial_rng(cfg.seed, name, index)
-                try:
-                    outcome = spec.fn(rng, cfg)
-                except (PreconditionError, DimensionError) as exc:
-                    outcome = {"detail": f"unexpected error: {exc.message}"}
-                except InternalCheckError as exc:
-                    exc.context.update(check=name, trial=index)
-                    raise
-                except Exception as exc:
-                    raise InternalCheckError(
-                        f"check raised {type(exc).__name__}: {exc}",
-                        check=name,
-                        trial=index,
-                    ) from exc
-                if outcome is not None:
-                    failures += 1
-                    if first is None:
-                        first = {"trial": index, **outcome}
-            results.append(CheckResult(name, count, failures, first))
-    finally:
-        gc.set_threshold(*old_threshold)
+    results = []
+    for name in selected:
+        spec = CHECKS[name]
+        count = spec.trial_count(cfg.trials)
+        failures = 0
+        first = None
+        for index in range(count):
+            rng = trial_rng(cfg.seed, name, index)
+            try:
+                outcome = spec.fn(rng, cfg)
+            except (PreconditionError, DimensionError) as exc:
+                outcome = {"detail": f"unexpected error: {exc.message}"}
+            except InternalCheckError as exc:
+                exc.context.update(check=name, trial=index)
+                raise
+            except Exception as exc:
+                raise InternalCheckError(
+                    f"check raised {type(exc).__name__}: {exc}",
+                    check=name,
+                    trial=index,
+                ) from exc
+            if outcome is not None:
+                failures += 1
+                if first is None:
+                    first = {"trial": index, **outcome}
+        results.append(CheckResult(name, count, failures, first))
     return VerificationReport(tuple(results), cfg)
 
 

@@ -131,10 +131,26 @@ def test_parse_error_exit_code(tmp_path, capsys, monkeypatch):
         {"kind": "relation", "version": "1", "dim_in": 257, "dim_out": 1,
          "generators": []},
     )
-    for path in (str(bad), long_literal, oversized):
+    not_utf8 = tmp_path / "utf16.rel"
+    not_utf8.write_bytes(b"\xff\xfe" + '{"kind": "relation"}'.encode("utf-16-le"))
+    for path in (str(bad), long_literal, oversized, str(not_utf8)):
         code, _, err = run(capsys, "classify", path)
         assert code == 2
         assert json.loads(err)["code"] == 2
+    assert json.loads(err)["context"] == {"path": str(not_utf8)}
+
+    # An output path that cannot be written: a missing directory, or a
+    # directory itself.
+    good = write(
+        tmp_path / "good.rel",
+        {"kind": "relation", "version": "1", "dim_in": 1, "dim_out": 1,
+         "generators": [[["1"], ["1"]]]},
+    )
+    for out in (tmp_path / "missing" / "out.json", tmp_path):
+        code, _, err = run(capsys, "classify", good, "-o", str(out))
+        assert code == 2
+        assert json.loads(err)["code"] == 2
+        assert json.loads(err)["context"] == {"path": str(out)}
 
     monkeypatch.setenv("RELCALC_SEED", "abc")
     code, _, err = run(capsys, "fuzz", "--dim", "2", "--trials", "1")

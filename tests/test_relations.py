@@ -144,7 +144,9 @@ def test_inverse_swaps_parts():
 @settings(max_examples=50)
 @given(relations())
 def test_inverse_involution(t):
-    assert t.inverse().inverse() == t
+    # Computed through the undecorated function: the memo already holds t
+    # as the inverse of t.inverse().
+    assert LinearRelation.inverse.__wrapped__(t.inverse()) == t
 
 
 def test_one_minus_of_identity():
@@ -163,7 +165,7 @@ def test_one_minus_swaps_projection():
 @settings(max_examples=50)
 @given(square_relations)
 def test_one_minus_involution(t):
-    assert t.one_minus().one_minus() == t
+    assert LinearRelation.one_minus.__wrapped__(t.one_minus()) == t
 
 
 def test_one_minus_requires_square():

@@ -1,5 +1,6 @@
 """Source hygiene: every module-level import in the package is used, no
-subcommand loads numpy, and only ``fuzz`` and ``checks`` load the verifier."""
+subcommand loads numpy, only ``fuzz`` and ``checks`` load the verifier, and
+the value layer's memo is the package's only cache."""
 
 import ast
 import json
@@ -43,6 +44,57 @@ def test_no_unused_module_imports():
     modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
     assert len(modules) > 10
     assert [hit for path in modules for hit in unused_imports(path)] == []
+
+
+# Cache mechanisms besides ``relcalc.subspaces.memo``: weak interning, the
+# collector tuning it needed, and functools' caches.
+FORBIDDEN_MODULES = {"weakref", "gc"}
+FORBIDDEN_NAMES = {"lru_cache", "cache", "cached_property"}
+
+
+def second_caches(path):
+    """``file:line what`` for each use of a cache mechanism in ``path``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        hits = []
+        if isinstance(node, ast.Import):
+            hits = [a.name for a in node.names
+                    if a.name.partition(".")[0] in FORBIDDEN_MODULES]
+        elif isinstance(node, ast.ImportFrom):
+            if (node.module or "").partition(".")[0] in FORBIDDEN_MODULES:
+                hits = [node.module]
+            elif node.module == "functools":
+                hits = [a.name for a in node.names if a.name in FORBIDDEN_NAMES]
+        elif isinstance(node, ast.Attribute) and node.attr in FORBIDDEN_NAMES:
+            if node.attr != "cache" or (
+                isinstance(node.value, ast.Name) and node.value.id == "functools"
+            ):
+                hits = [node.attr]
+        elif isinstance(node, ast.Name) and node.id in FORBIDDEN_NAMES - {"cache"}:
+            hits = [node.id]
+        found += [f"{path.name}:{node.lineno} {hit}" for hit in hits]
+    return found
+
+
+def test_one_cache_mechanism():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert [hit for path in modules for hit in second_caches(path)] == []
+
+
+def test_second_cache_detector(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "import gc\nimport weakref as w\nfrom functools import lru_cache\n"
+        "import functools\n@functools.cache\ndef f(): pass\n"
+        "x = functools.cached_property\n"
+    )
+    assert second_caches(bad) == [
+        "bad.py:1 gc",
+        "bad.py:2 weakref",
+        "bad.py:3 lru_cache",
+        "bad.py:5 cache",
+        "bad.py:7 cached_property",
+    ]
 
 
 # Runs in a fresh interpreter; prints which heavy modules each step loaded.

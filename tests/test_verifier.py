@@ -34,6 +34,8 @@ def test_genconfig_validation():
         GenConfig(trials=-1)
     with pytest.raises(PreconditionError):
         GenConfig(max_entry=0)
+    with pytest.raises(PreconditionError):
+        GenConfig(extremality_samples=-3)
 
 
 def test_trial_rng_is_deterministic_and_separated():
