@@ -15,8 +15,8 @@ from .errors import DimensionError
 from .matrices import ints_to_row, row_to_ints
 
 # The one cache of the value layer.  It interns subspaces and relations (one
-# object per value while the entry lasts) and holds the derived values of the
-# functions below decorated with ``memoized`` or ``involution``.  Entries are
+# object per value while the entry lasts) and holds the results of the
+# functions decorated with ``memoized`` or ``involution``.  Entries are
 # strong and the dict is emptied when it reaches the bound, so memory is
 # bounded and the work a run does depends only on the calls it makes.  An
 # evicted value stays correct: equality and hashing are by value, and a
