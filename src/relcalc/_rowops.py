@@ -184,15 +184,22 @@ def nullspace(pivots, rows, width):
     return rref(basis, width)
 
 
-def member(pivots, rows, vec) -> bool:
-    """True if ``vec`` lies in the row space of canonical ``rows``: the
-    residual after eliminating its pivot-column entries is zero.  Needs each
-    pivot to be the leading nonzero column of its row."""
+def residual(pivots, rows, vec):
+    """``vec`` with its pivot-column entries eliminated against canonical
+    ``rows``: zero in every pivot column, and zero exactly when ``vec`` lies
+    in their row space.  Needs each pivot to be the leading nonzero column
+    of its row."""
     dv, vre, vim = vec
     for (den, re, im), col in zip(rows, pivots):
         if vre[col] or (vim is not None and vim[col]):
             dv, vre, vim = _eliminate(den, re, im, dv, vre, vim, col)
-    return not any(vre) and (vim is None or not any(vim))
+    return dv, vre, vim
+
+
+def member(pivots, rows, vec) -> bool:
+    """True if ``vec`` lies in the row space of canonical ``rows``."""
+    _, re, im = residual(pivots, rows, vec)
+    return not any(re) and (im is None or not any(im))
 
 
 def conjugate_row(row):

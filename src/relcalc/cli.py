@@ -27,11 +27,15 @@ def _emit(text: str, path: str | None):
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        try:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise ParseError(f"cannot write {path}: {exc.strerror}", path=path) from None
+        _write(path, "w", text)
+
+
+def _write(path: str, mode: str, text: str):
+    try:
+        with open(path, mode, encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc.strerror}", path=path) from None
 
 
 def _emit_json(payload: dict, path: str | None):
@@ -198,6 +202,9 @@ def _cmd_fuzz(args) -> int:
         tol=args.tol,
     )
     names = args.checks.split(",") if args.checks else None
+    if args.output is not None:
+        # Fail on an unwritable report path before the suite spends its time.
+        _write(args.output, "a", "")
     report = verify_suite(cfg, names)
     _emit_document(report.json_dict(), args.output)
     return 0 if report.passed else 5

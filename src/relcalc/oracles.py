@@ -2,8 +2,8 @@
 named checks compare with the production operations on random inputs.
 
 Each reaches its answer by a different computation than the route it checks:
-stacked coefficients for :meth:`Subspace.intersect` (duality), graph duality
-for :meth:`LinearRelation.meet` (generator coordinates), triple-space
+stacked coefficients for :meth:`Subspace.intersect` (duality), generator
+coordinates for :meth:`LinearRelation.meet` (graph intersection), triple-space
 intersections for :meth:`LinearRelation.compose` and
 :meth:`LinearRelation.plus` (coefficient elimination), and the augmented form
 for :func:`relcalc.idempotents.maximal_idempotent` (restricted form).
@@ -15,7 +15,7 @@ from . import _rowops
 from .errors import DimensionError
 from .idempotents import _require_same_ambient, super_form
 from .matrices import ints_to_row, row_to_ints
-from .relations import LinearRelation
+from .relations import LinearRelation, _coefficient_nullspace, _combine_rows
 from .scalars import GaussianRational
 from .subspaces import Subspace
 
@@ -54,12 +54,22 @@ def intersect_by_stacking(s1: Subspace, s2: Subspace) -> Subspace:
     return Subspace.span(vectors, n)
 
 
-def meet_by_graph_intersection(
+def meet_by_generator_coordinates(
     t: LinearRelation, s: LinearRelation
 ) -> LinearRelation:
-    """Oracle route for meet: duality intersection of the graph subspaces."""
+    """Oracle route for meet: the combinations of t's generators that also
+    lie in s's graph, solved in generator coordinates."""
     t._require_same_dims(s)
-    return LinearRelation(t.dim_in, t.dim_out, t.graph.intersect(s.graph))
+    width = t.dim_in + t.dim_out
+    coeffs = _coefficient_nullspace(
+        t.graph._rows, s.graph._rows, range(width), range(width)
+    )
+    # Only t's coefficients meet a block; those of s's generators drop out.
+    blocks = [(r[1], r[2]) for r in t.graph._rows]
+    rows = _combine_rows(coeffs, blocks, width)
+    return LinearRelation(
+        t.dim_in, t.dim_out, Subspace.from_int_rows(rows, width)
+    )
 
 
 def compose_by_slot_elimination(

@@ -3,6 +3,9 @@
 A relation T from F^n to F^m is stored purely as the canonical graph
 subspace; domain, range, kernel and multivalued part are derived on demand
 and held in the memo of :mod:`relcalc.subspaces`: one source of truth.
+They are read off the canonical rows of the graph and of the inverse's
+graph without a new echelon form, as are the adjoint's condition rows.  The
+meet is the intersection of the graphs.
 
 Composition and the pointwise sum are computed by existential elimination:
 the constrained coefficient space of generator pairs is solved exactly and
@@ -200,15 +203,9 @@ class LinearRelation:
 
     @memoized
     def parts(self) -> RelationParts:
-        n, m = self.dim_in, self.dim_out
-        dom_rows = []
-        ran_rows = []
-        for den, re, im in self.graph._rows:
-            dom_rows.append((den, re[:n], None if im is None else im[:n]))
-            ran_rows.append((den, re[n:], None if im is None else im[n:]))
-        dom = Subspace.from_int_rows(dom_rows, n)
-        ran = Subspace.from_int_rows(ran_rows, m)
-        return RelationParts(dom, ran, self.inverse().mul, self.mul)
+        dom, mul = _split_at(self.graph, self.dim_in)
+        ran, ker = _split_at(self.inverse().graph, self.dim_out)
+        return RelationParts(dom, ran, ker, mul)
 
     @property
     def dom(self) -> Subspace:
@@ -223,20 +220,8 @@ class LinearRelation:
         return self.parts().ker
 
     @property
-    @memoized
     def mul(self) -> Subspace:
-        n, m = self.dim_in, self.dim_out
-        rows = []
-        pivots = []
-        for (den, re, im), p in zip(self.graph._rows, self.graph._pivots):
-            # A pivot in the output block means a zero input part, so the
-            # output slice is already canonical for mul.
-            if p >= n:
-                rows.append(
-                    (den, re[n:], None if im is None or not any(im[n:]) else im[n:])
-                )
-                pivots.append(p - n)
-        return Subspace._from_rref(m, pivots, rows)
+        return self.parts().mul
 
     def is_operator(self) -> bool:
         return self.mul.is_zero()
@@ -290,23 +275,26 @@ class LinearRelation:
         """T* = {(x, y) : <g, x> = <f, y> for all (f, g) in T}.
 
         Each graph generator (f, g) imposes one linear condition on
-        (x, y) in F^m x F^n; conjugating it gives the row
-        (conj(g), -conj(f)), and T* is the exact null space of those rows.
+        (x, y) in F^m x F^n, the conjugated row (conj(g), -conj(f)); T* is
+        the exact null space of those rows.  They are read off the canonical
+        rows (g, f) of the inverse's graph: conjugate each, and negate the
+        second block of those pivoting in the first m columns.  The rows
+        that pivot later are zero in the first block, so the result is
+        still in RREF on the same pivots and needs no ``rref``.
         """
-        n, m = self.dim_in, self.dim_out
-        width = m + n
+        m = self.dim_out
+        inverse = self.inverse().graph
         cond_rows = []
-        for _, re, im in self.graph._rows:
-            cre = list(re[n:]) + [-x for x in re[:n]]
-            if im is None:
-                cim = None
-            else:
-                cim = [-x for x in im[n:]] + list(im[:n])
-            cond_rows.append(_rowops.make_row(cre, cim))
-        pivots, rows = _rowops.rref(cond_rows, width)
-        null_pivots, null_rows = _rowops.nullspace(pivots, rows, width)
-        graph = Subspace._from_rref(width, null_pivots, null_rows)
-        return LinearRelation(m, n, graph)
+        for row, p in zip(inverse._rows, inverse._pivots):
+            den, re, im = _rowops.conjugate_row(row)
+            if p < m:
+                re = re[:m] + tuple(-x for x in re[m:])
+                im = None if im is None else im[:m] + tuple(-x for x in im[m:])
+            cond_rows.append((den, re, im))
+        width = inverse.ambient_dim
+        pivots, rows = _rowops.nullspace(inverse._pivots, cond_rows, width)
+        graph = Subspace._from_rref(width, pivots, rows)
+        return LinearRelation(m, self.dim_in, graph)
 
     # -- binary operations -----------------------------------------------------
 
@@ -318,29 +306,15 @@ class LinearRelation:
         )
 
     def meet(self, other: "LinearRelation") -> "LinearRelation":
-        """Intersection of the graphs.
+        """Intersection of the graphs, by definition.
 
-        Solved in generator coordinates: combinations of self's generators
-        that also lie in other's graph.  The duality route on the doubled
-        ambient space is kept in
-        :func:`relcalc.oracles.meet_by_graph_intersection` as the
+        The generator-coordinate route is kept in
+        :func:`relcalc.oracles.meet_by_generator_coordinates` as the
         independent cross-check.
         """
         self._require_same_dims(other)
-        width = self.dim_in + self.dim_out
-        coeffs = _coefficient_nullspace(
-            self.graph._rows, other.graph._rows, range(width), range(width)
-        )
-        d1 = self.graph.dim
-        blocks = [(r[1], r[2]) for r in self.graph._rows]
-        trimmed = [
-            (den, re[:d1], None if im is None else im[:d1])
-            for den, re, im in coeffs
-        ]
-        rows = _combine_rows(trimmed, blocks, width)
-        return LinearRelation(
-            self.dim_in, self.dim_out, Subspace.from_int_rows(rows, width)
-        )
+        graph = self.graph.intersect(other.graph)
+        return LinearRelation(self.dim_in, self.dim_out, graph)
 
     def plus(self, other: "LinearRelation") -> "LinearRelation":
         """Pointwise sum {(x, y + z) : (x, y) in T, (x, z) in S}.
@@ -401,6 +375,24 @@ class LinearRelation:
     def squared(self) -> "LinearRelation":
         """E o E, memoized; classify and the square-law checks share it."""
         return self.compose(self)
+
+
+def _split_at(graph: Subspace, n: int) -> list:
+    """The projection of ``graph`` on its first n coordinates and the space
+    {y : (0, y) in graph}, read off the canonical rows.  The rows pivoting in
+    the first n columns, cut to them, are in RREF up to content; the other
+    rows, cut to the remaining columns, are in RREF."""
+    halves = ([], []), ([], [])
+    for (den, re, im), p in zip(graph._rows, graph._pivots):
+        cut = slice(0, n) if p < n else slice(n, None)
+        den, re, im = _rowops._reduce_content(
+            den, re[cut], None if im is None else im[cut]
+        )
+        pivots, rows = halves[p >= n]
+        pivots.append(p - cut.start)
+        rows.append((den, tuple(re), None if im is None else tuple(im)))
+    widths = (n, graph.ambient_dim - n)
+    return [Subspace._from_rref(w, *half) for w, half in zip(widths, halves)]
 
 
 def _coefficient_nullspace(t_rows, s_rows, t_cols, s_cols):

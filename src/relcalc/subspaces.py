@@ -171,13 +171,10 @@ class Subspace:
 
     def sum_with(self, other: "Subspace") -> "Subspace":
         self._require_same_ambient(other)
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        return Subspace.from_int_rows(
-            list(self._rows) + list(other._rows), self.ambient_dim
-        )
+        big, small = (self, other) if self.dim >= other.dim else (other, self)
+        if small.is_zero():
+            return big
+        return _sum(big, small)
 
     __add__ = sum_with
 
@@ -193,8 +190,12 @@ class Subspace:
         return Subspace._from_rref(self.ambient_dim, pivots, rows)
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Exact intersection via duality: (S1^perp + S2^perp)^perp."""
+        """Exact intersection: the smaller operand when the other contains
+        it, else via duality, (S1^perp + S2^perp)^perp."""
         self._require_same_ambient(other)
+        small, big = (self, other) if self.dim <= other.dim else (other, self)
+        if big.contains(small):
+            return small
         return self.perp().sum_with(other.perp()).perp()
 
     def __and__(self, other):
@@ -220,12 +221,24 @@ class Subspace:
 
     def relative_complement(self, other: "Subspace") -> "Subspace":
         """S minus (S meet T): the part of S orthogonal to S intersect T."""
-        self._require_same_ambient(other)
         meet = self.intersect(other)
-        if meet.is_zero():
-            return self
         return self.intersect(meet.perp())
 
     def is_direct_sum_with(self, other: "Subspace") -> bool:
         self._require_same_ambient(other)
         return self.sum_with(other).dim == self.dim + other.dim
+
+
+@memoized
+def _sum(big: Subspace, small: Subspace) -> Subspace:
+    """big + small for big.dim >= small.dim: big itself when the residuals
+    of small's rows against big's basis all vanish, else one ``rref`` of
+    big's rows and the nonzero residuals."""
+    rest = []
+    for row in small._rows:
+        den, re, im = _rowops.residual(big._pivots, big._rows, row)
+        if any(re) or (im is not None and any(im)):
+            rest.append((den, re, im))
+    if not rest:
+        return big
+    return Subspace.from_int_rows(list(big._rows) + rest, big.ambient_dim)

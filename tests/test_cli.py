@@ -282,6 +282,41 @@ def test_fuzz_seed_env(capsys, tmp_path, monkeypatch):
     capsys.readouterr()
 
 
+def test_fuzz_unwritable_output_fails_before_the_suite(tmp_path, capsys, monkeypatch):
+    from relcalc import verifier
+
+    def never(*args):
+        raise AssertionError("the suite ran before the output path was checked")
+
+    monkeypatch.setattr(verifier, "verify_suite", never)
+    for out in (tmp_path / "missing" / "out.json", tmp_path):
+        code, _, err = run(
+            capsys, "fuzz", "--dim", "2", "--trials", "1", "-o", str(out)
+        )
+        assert code == 2
+        assert json.loads(err)["code"] == 2
+        assert json.loads(err)["context"] == {"path": str(out)}
+
+
+def test_fuzz_failing_suite_leaves_its_report(tmp_path, capsys):
+    from relcalc.verifier import CHECKS, CheckSpec, ce
+
+    name = "deliberately_failing"
+    CHECKS[name] = CheckSpec(
+        name, lambda rng, cfg: ce("fails on purpose"), ("self-test",)
+    )
+    out = tmp_path / "report.json"
+    try:
+        code = main(
+            ["fuzz", "--dim", "2", "--trials", "1", "--checks", name, "-o", str(out)]
+        )
+    finally:
+        del CHECKS[name]
+    capsys.readouterr()
+    assert code == 5
+    assert json.loads(out.read_text())["pass"] is False
+
+
 def test_fuzz_check_selection(capsys):
     code, out, _ = run(
         capsys,

@@ -63,7 +63,10 @@ def _counted_run(mode):
 def test_work_does_not_depend_on_the_collector():
     quiet = _counted_run("disable")
     collected = _counted_run("collect")
-    assert quiet["calls"] > 0
+    # A work budget, not a timing: the count depends on no machine, so a
+    # change that brings back the exact work the read-offs and the lattice
+    # shortcuts save fails here.
+    assert 0 < quiet["calls"] <= 2000
     assert quiet["calls"] == collected["calls"]
     assert quiet["report"] == collected["report"]
 

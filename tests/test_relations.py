@@ -10,9 +10,10 @@ from relcalc import (
     LinearRelation,
     Subspace,
 )
+from relcalc import _rowops
 from relcalc.oracles import (
     compose_by_slot_elimination,
-    meet_by_graph_intersection,
+    meet_by_generator_coordinates,
     plus_by_slot_elimination,
 )
 
@@ -51,6 +52,32 @@ def relations(draw, dim_in=None, dim_out=None, ambient=3):
 square_relations = relations(dim_in=3, dim_out=3)
 
 
+@st.composite
+def read_off_relations(draw):
+    """Real or complex entries; with no_input, every generator has a zero
+    input part, so every pivot of the graph lies in the output block."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    real = draw(st.booleans())
+    no_input = draw(st.booleans())
+
+    def entry():
+        im = 0 if real else draw(st.integers(-3, 3))
+        return GaussianRational(draw(st.integers(-3, 3)), im)
+
+    pairs = []
+    for _ in range(draw(st.integers(0, n + m))):
+        x = [0 if no_input else entry() for _ in range(n)]
+        pairs.append((x, [entry() for _ in range(m)]))
+    return LinearRelation.from_generators(pairs, n, m)
+
+
+def leading_columns(space):
+    return tuple(
+        next(k for k, x in enumerate(re) if x or (im is not None and im[k]))
+        for _, re, im in space._rows
+    )
+
+
 # -- constructors and parts ------------------------------------------------------
 
 
@@ -72,6 +99,29 @@ def test_projection_generators():
     assert p.ran == span([e(0, 2)], 2)
     assert p.ker == span([e(1, 2)], 2)
     assert p.mul.is_zero()
+
+
+def projection_parts(t):
+    """Reference route for dom and ran: slice every graph row to one block
+    and echelonize the slices afresh."""
+    n = t.dim_in
+    dom_rows, ran_rows = [], []
+    for den, re, im in t.graph._rows:
+        dom_rows.append((den, re[:n], None if im is None else im[:n]))
+        ran_rows.append((den, re[n:], None if im is None else im[n:]))
+    return (
+        Subspace.from_int_rows(dom_rows, n),
+        Subspace.from_int_rows(ran_rows, t.dim_out),
+    )
+
+
+@settings(max_examples=80)
+@given(read_off_relations())
+def test_parts_read_off_matches_projection(t):
+    p = t.parts()
+    assert (p.dom, p.ran) == projection_parts(t)
+    for part in p:
+        assert part._pivots == leading_columns(part)
 
 
 def test_graph_of_identity():
@@ -226,7 +276,7 @@ def test_meet_restricts_domain():
 @given(relations(dim_in=2, dim_out=2), relations(dim_in=2, dim_out=2))
 def test_meet_two_routes_and_part_identities(t, s):
     u = t.meet(s)
-    assert u == meet_by_graph_intersection(t, s)
+    assert u == meet_by_generator_coordinates(t, s)
     assert u.mul == t.mul.intersect(s.mul)
     assert u.ker == t.ker.intersect(s.ker)
     assert t.meet(t) == t
@@ -316,6 +366,20 @@ def adjoint_by_perp_of_j(t):
     return LinearRelation(m, n, jt.perp())
 
 
+def adjoint_by_condition_rows(t):
+    """Reference: one conjugated condition row (conj(g), -conj(f)) per
+    graph generator (f, g), echelonized afresh; T* is their null space."""
+    n, m = t.dim_in, t.dim_out
+    cond_rows = []
+    for _, re, im in t.graph._rows:
+        cre = list(re[n:]) + [-x for x in re[:n]]
+        cim = None if im is None else [-x for x in im[n:]] + list(im[:n])
+        cond_rows.append(_rowops.make_row(cre, cim))
+    pivots, rows = _rowops.rref(cond_rows, m + n)
+    null_pivots, null_rows = _rowops.nullspace(pivots, rows, m + n)
+    return LinearRelation(m, n, Subspace._from_rref(m + n, null_pivots, null_rows))
+
+
 def test_adjoint_hand_example():
     # T sends e1 to e2 on span{e1}; the defining equations force
     # T* = {((x1, x2), (x2, t))}
@@ -360,6 +424,14 @@ def test_adjoint_matches_j_map_routes(t):
     adj = t.adjoint()
     assert adj == adjoint_by_j_of_perp(t)
     assert adj == adjoint_by_perp_of_j(t)
+
+
+@settings(max_examples=80)
+@given(read_off_relations())
+def test_adjoint_matches_condition_rows(t):
+    adj = t.adjoint()
+    assert adj == adjoint_by_condition_rows(t)
+    assert adj.graph._pivots == leading_columns(adj.graph)
 
 
 # -- ordering and invariants -------------------------------------------------------

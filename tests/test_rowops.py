@@ -178,3 +178,10 @@ def test_member_matches_reference(case, data):
     other = [(Fraction(data.draw(magnitudes)), data.draw(coeff)) for _ in range(width)]
     expected = len(ref_rref(pairs + [other], width)[0]) == len(pivots)
     assert _rowops.member(pivots, out, as_int_row(other)) == expected
+    # The residual is zero in every pivot column, and what it removed from
+    # the vector lies in the span: adding it leaves the reference rank alone.
+    for v in (vec, other):
+        res = as_pairs(_rowops.residual(pivots, out, as_int_row(v)))
+        assert all(res[p] == ZERO for p in pivots)
+        removed = [(x[0] - r[0], x[1] - r[1]) for x, r in zip(v, res)]
+        assert len(ref_rref(pairs + [removed], width)[0]) == len(pivots)

@@ -184,6 +184,24 @@ def test_intersection_two_routes_agree(s1, s2):
     assert s1.intersect(s2) == intersect_by_stacking(s1, s2)
 
 
+@settings(max_examples=80)
+@given(subspaces(), subspaces(), st.sampled_from(("nested", "zero", "equal", "full")))
+def test_nested_sum_and_meet(s, extra, shape):
+    # t = s + extra contains s; the sum and the meet then return an operand
+    # without a fresh echelon form, and must match the plain routes.
+    n = s.ambient_dim
+    if shape == "zero":
+        s = Subspace.zero(n)
+    elif shape == "equal":
+        extra = s
+    elif shape == "full":
+        extra = Subspace.full(n)
+    t = s + extra
+    stacked = Subspace.from_int_rows(list(s._rows) + list(t._rows), n)
+    assert s + t == t + s == stacked
+    assert s & t == t & s == intersect_by_stacking(s, t)
+
+
 @settings(max_examples=40)
 @given(subspaces(), st.randoms(use_true_random=False))
 def test_canonicality_under_regeneration(s, rnd):
