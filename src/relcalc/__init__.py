@@ -31,7 +31,6 @@ from .idempotents import (
     super_form,
     triple_convert,
 )
-from .matrices import ExactMatrix
 from .relations import LinearRelation, RelationParts
 from .scalars import GaussianRational, format_scalar, parse_scalar
 from .subspaces import Subspace
@@ -39,7 +38,6 @@ from .subspaces import Subspace
 __all__ = [
     "Classification",
     "DimensionError",
-    "ExactMatrix",
     "GaussianRational",
     "ICViolationError",
     "IdempotentTriple",

@@ -9,6 +9,7 @@ precondition, 5 breached internal invariant (including fuzz counterexamples).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -202,10 +203,18 @@ def _cmd_fuzz(args) -> int:
         tol=args.tol,
     )
     names = args.checks.split(",") if args.checks else None
+    fresh = args.output is not None and not os.path.lexists(args.output)
     if args.output is not None:
-        # Fail on an unwritable report path before the suite spends its time.
+        # Fail on an unwritable report path before the suite spends its time;
+        # a file the probe created goes again if the suite raises.
         _write(args.output, "a", "")
-    report = verify_suite(cfg, names)
+    try:
+        report = verify_suite(cfg, names)
+    except BaseException:
+        if fresh:
+            with contextlib.suppress(OSError):
+                os.remove(args.output)
+        raise
     _emit_document(report.json_dict(), args.output)
     return 0 if report.passed else 5
 

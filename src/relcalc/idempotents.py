@@ -26,6 +26,7 @@ from .errors import (
     InternalCheckError,
     NotIdempotentError,
 )
+from .matrices import ints_to_row
 from .relations import LinearRelation
 from .subspaces import Subspace, memoized
 
@@ -187,8 +188,6 @@ class Classification:
 
 def _graph_witness(bigger: LinearRelation, smaller: LinearRelation):
     """A generator pair present in ``bigger`` but not in ``smaller``."""
-    from .matrices import ints_to_row
-
     n = bigger.dim_in
     for row in bigger.graph._rows:
         if not smaller.graph.contains_vector(row):

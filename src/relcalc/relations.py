@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from . import _rowops
 from .errors import DimensionError
-from .matrices import ExactMatrix, row_to_ints
+from .matrices import row_to_ints
 from .subspaces import Subspace, involution, memo, memoized
 
 
@@ -100,17 +100,6 @@ class LinearRelation:
                 )
             rows.append(row_to_ints(x + y))
         return cls(dim_in, dim_out, Subspace.from_int_rows(rows, dim_in + dim_out))
-
-    @classmethod
-    def graph_of_matrix(cls, matrix: ExactMatrix) -> "LinearRelation":
-        """The (everywhere-defined, single-valued) relation {(x, Ax)}."""
-        n, m = matrix.cols, matrix.rows
-        pairs = []
-        for i in range(n):
-            e = [0] * n
-            e[i] = 1
-            pairs.append((e, [matrix[r, i] for r in range(m)]))
-        return cls.from_generators(pairs, n, m)
 
     @classmethod
     def identity_on(cls, space: Subspace) -> "LinearRelation":
@@ -253,19 +242,6 @@ class LinearRelation:
             rows.append((den, nre, nim))
         return LinearRelation(n, n, Subspace.from_int_rows(rows, 2 * n))
 
-    def negate(self) -> "LinearRelation":
-        """{(x, -y) : (x, y) in T}; helper behind the pointwise-sum cross
-        checks."""
-        n = self.dim_in
-        rows = []
-        for den, re, im in self.graph._rows:
-            nre = list(re[:n]) + [-x for x in re[n:]]
-            nim = None if im is None else list(im[:n]) + [-x for x in im[n:]]
-            rows.append((den, nre, nim))
-        return LinearRelation(
-            n, self.dim_out, Subspace.from_int_rows(rows, n + self.dim_out)
-        )
-
     def closure(self) -> "LinearRelation":
         """Topological closure; the identity map in finite dimension."""
         return self
@@ -277,9 +253,9 @@ class LinearRelation:
         Each graph generator (f, g) imposes one linear condition on
         (x, y) in F^m x F^n, the conjugated row (conj(g), -conj(f)); T* is
         the exact null space of those rows.  They are read off the canonical
-        rows (g, f) of the inverse's graph: conjugate each, and negate the
-        second block of those pivoting in the first m columns.  The rows
-        that pivot later are zero in the first block, so the result is
+        rows (g, f) of the inverse's graph: conjugate each, and flip the
+        second block's sign in those pivoting in the first m columns.  The
+        rows that pivot later are zero in the first block, so the result is
         still in RREF on the same pivots and needs no ``rref``.
         """
         m = self.dim_out

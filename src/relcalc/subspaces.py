@@ -224,10 +224,6 @@ class Subspace:
         meet = self.intersect(other)
         return self.intersect(meet.perp())
 
-    def is_direct_sum_with(self, other: "Subspace") -> bool:
-        self._require_same_ambient(other)
-        return self.sum_with(other).dim == self.dim + other.dim
-
 
 @memoized
 def _sum(big: Subspace, small: Subspace) -> Subspace:

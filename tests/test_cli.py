@@ -317,6 +317,23 @@ def test_fuzz_failing_suite_leaves_its_report(tmp_path, capsys):
     assert json.loads(out.read_text())["pass"] is False
 
 
+def test_fuzz_raising_suite_leaves_no_new_report(tmp_path, capsys):
+    from relcalc.verifier import CHECKS, CheckSpec
+
+    kept = tmp_path / "kept.json"
+    kept.write_text("earlier report")
+    CHECKS["raising"] = CheckSpec("raising", lambda rng, cfg: 1 // 0, ("self-test",))
+    try:
+        for check, code in (("not_a_check", 4), ("raising", 5)):
+            for out in (tmp_path / "new.json", kept):
+                argv = ["fuzz", "--trials", "1", "--checks", check, "-o", str(out)]
+                assert run(capsys, *argv)[0] == code
+    finally:
+        del CHECKS["raising"]
+    assert [p.name for p in tmp_path.iterdir()] == ["kept.json"]
+    assert kept.read_text() == "earlier report"
+
+
 def test_fuzz_check_selection(capsys):
     code, out, _ = run(
         capsys,

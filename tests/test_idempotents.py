@@ -211,9 +211,7 @@ def test_range_triple_example():
 def test_range_triple_of_identity_and_zero():
     t = range_triple(LinearRelation.identity(3))
     assert t.x == Subspace.full(3) and t.y.is_zero() and t.z == Subspace.full(3)
-    zero_op = LinearRelation.graph_of_matrix(
-        __import__("relcalc").ExactMatrix.zeros(3, 3)
-    )
+    zero_op = LinearRelation.product_space(Subspace.full(3), Subspace.zero(3))
     t = range_triple(zero_op)
     assert t.x.is_zero() and t.y == Subspace.full(3) and t.z == Subspace.full(3)
 

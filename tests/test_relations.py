@@ -3,13 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from relcalc import (
-    DimensionError,
-    ExactMatrix,
-    GaussianRational,
-    LinearRelation,
-    Subspace,
-)
+from relcalc import DimensionError, GaussianRational, LinearRelation, Subspace
 from relcalc import _rowops
 from relcalc.oracles import (
     compose_by_slot_elimination,
@@ -28,6 +22,13 @@ def e(k, n):
 
 def span(vectors, n):
     return Subspace.span(vectors, n)
+
+
+def operator(matrix):
+    """The graph {(x, Ax)} of the matrix A, given as a list of rows."""
+    n = len(matrix[0])
+    pairs = [(e(i, n), [row[i] for row in matrix]) for i in range(n)]
+    return LinearRelation.from_generators(pairs, n, len(matrix))
 
 
 @st.composite
@@ -125,19 +126,17 @@ def test_parts_read_off_matches_projection(t):
 
 
 def test_graph_of_identity():
-    assert LinearRelation.graph_of_matrix(
-        ExactMatrix.identity(3)
-    ) == LinearRelation.identity(3)
+    assert operator([e(0, 3), e(1, 3), e(2, 3)]) == LinearRelation.identity(3)
 
 
 def test_graph_of_zero_matrix():
-    t = LinearRelation.graph_of_matrix(ExactMatrix.zeros(2, 2))
+    t = operator([[0, 0], [0, 0]])
     assert t == LinearRelation.product_space(Subspace.full(2), Subspace.zero(2))
 
 
 def test_graph_of_nilpotent():
     # A maps e1 -> 0, e2 -> e1: kernel and range are both span{e1}
-    t = LinearRelation.graph_of_matrix(ExactMatrix.from_rows([[0, 1], [0, 0]]))
+    t = operator([[0, 1], [0, 0]])
     assert t.ker == span([e(0, 2)], 2)
     assert t.ran == span([e(0, 2)], 2)
     assert t.mul.is_zero() and t.dom == Subspace.full(2)
@@ -184,7 +183,7 @@ def test_inverse_of_identity():
 
 
 def test_inverse_swaps_parts():
-    t = LinearRelation.graph_of_matrix(ExactMatrix.from_rows([[0, 1], [0, 0]]))
+    t = operator([[0, 1], [0, 0]])
     inv = t.inverse()
     assert inv.dom == t.ran and inv.ran == t.dom
     assert inv.ker == t.mul and inv.mul == t.ker
@@ -201,7 +200,7 @@ def test_inverse_involution(t):
 
 def test_one_minus_of_identity():
     ident = LinearRelation.identity(3)
-    assert ident.one_minus() == LinearRelation.graph_of_matrix(ExactMatrix.zeros(3, 3))
+    assert ident.one_minus() == operator([[0] * 3] * 3)
 
 
 def test_one_minus_swaps_projection():
@@ -226,8 +225,10 @@ def test_one_minus_requires_square():
 @settings(max_examples=50)
 @given(square_relations)
 def test_one_minus_matches_pointwise_route(t):
-    ident = LinearRelation.identity(t.dim_in)
-    assert t.one_minus() == ident.plus(t.negate())
+    # I - T = I + (-T), with -T written as (-I) o T.
+    n = t.dim_in
+    minus = operator([[-x for x in e(k, n)] for k in range(n)])
+    assert t.one_minus() == LinearRelation.identity(n).plus(minus.compose(t))
 
 
 # -- binary algebra -----------------------------------------------------------------
@@ -291,17 +292,14 @@ def test_plus_two_routes_and_domain(t, s):
 
 
 def test_plus_with_zero_operator():
-    t = LinearRelation.graph_of_matrix(ExactMatrix.from_rows([[1, 2], [3, 4]]))
-    zero_op = LinearRelation.graph_of_matrix(ExactMatrix.zeros(2, 2))
-    assert t.plus(zero_op) == t
+    t = operator([[1, 2], [3, 4]])
+    assert t.plus(operator([[0, 0], [0, 0]])) == t
 
 
 def test_plus_identity_minus_identity():
     ident = LinearRelation.identity(2)
-    minus = LinearRelation.graph_of_matrix(
-        ExactMatrix.from_rows([[-1, 0], [0, -1]])
-    )
-    assert ident.plus(minus) == LinearRelation.graph_of_matrix(ExactMatrix.zeros(2, 2))
+    minus = operator([[-1, 0], [0, -1]])
+    assert ident.plus(minus) == operator([[0, 0], [0, 0]])
 
 
 # -- composition ----------------------------------------------------------------------

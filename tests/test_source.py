@@ -1,6 +1,6 @@
-"""Source hygiene: every module-level import in the package is used, no
-subcommand loads numpy, only ``fuzz`` and ``checks`` load the verifier, and
-the value layer's memo is the package's only cache."""
+"""Source hygiene: the package uses every module-level import and calls every
+public method, no subcommand loads numpy, only ``fuzz`` and ``checks`` load
+the verifier, and the value layer's memo is the package's only cache."""
 
 import ast
 import json
@@ -44,6 +44,35 @@ def test_no_unused_module_imports():
     modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
     assert len(modules) > 10
     assert [hit for path in modules for hit in unused_imports(path)] == []
+
+
+# Public methods the package itself never calls, with the reason each stays.
+UNCALLED_METHODS = {
+    "LinearRelation.identity": "constructor for tests and library users",
+}
+
+
+def uncalled_methods(paths):
+    """``Class.method`` for each public method of a public class that no
+    ``.method`` attribute access in ``paths`` reaches."""
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in paths]
+    nodes = [node for tree in trees for node in ast.walk(tree)]
+    reached = {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+    return [
+        f"{cls.name}.{fn.name}"
+        for tree in trees
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef)
+        and not fn.name.startswith("_")
+        and fn.name not in reached
+    ]
+
+
+def test_no_test_only_methods():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert sorted(uncalled_methods(modules)) == sorted(UNCALLED_METHODS)
 
 
 # Cache mechanisms besides ``relcalc.subspaces.memo``: weak interning, the

@@ -135,12 +135,6 @@ def test_relative_complement_oblique():
     assert s.relative_complement(t) == span([e(1, 2)], 2)
 
 
-def test_direct_sum_detection():
-    assert span([e(0, 2)], 2).is_direct_sum_with(span([e(1, 2)], 2))
-    assert not span([e(0, 2)], 2).is_direct_sum_with(span([e(0, 2)], 2))
-    assert span([[1, 1, 0]], 3).is_direct_sum_with(span([e(0, 3), e(2, 3)], 3))
-
-
 @settings(max_examples=80)
 @given(subspaces(), subspaces())
 def test_de_morgan(s1, s2):
