@@ -1,12 +1,13 @@
 """Oracle routes: independent second constructions that the tests and the
 named checks compare with the production operations on random inputs.
 
-Each reaches its answer by a different computation than the route it checks:
-stacked coefficients for :meth:`Subspace.intersect` (duality), generator
-coordinates for :meth:`LinearRelation.meet` (graph intersection), triple-space
-intersections for :meth:`LinearRelation.compose` and
-:meth:`LinearRelation.plus` (coefficient elimination), and the augmented form
-for :func:`relcalc.idempotents.maximal_idempotent` (restricted form).
+Each reaches its answer by a different computation than the route it checks.
+:meth:`Subspace.intersect`, :meth:`LinearRelation.compose` and
+:meth:`LinearRelation.plus` read their results off residual rows; their
+oracles solve a stacked coefficient system, directly for the intersection
+and inside a triple space for the other two.  Generator coordinates check
+:meth:`LinearRelation.meet` (graph intersection), and the augmented form
+checks :func:`relcalc.idempotents.maximal_idempotent` (restricted form).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from . import _rowops
 from .errors import DimensionError
 from .idempotents import _require_same_ambient, super_form
 from .matrices import ints_to_row, row_to_ints
-from .relations import LinearRelation, _coefficient_nullspace, _combine_rows
+from .relations import LinearRelation, _combine_rows
 from .scalars import GaussianRational
 from .subspaces import Subspace
 
@@ -23,7 +24,7 @@ from .subspaces import Subspace
 def intersect_by_stacking(s1: Subspace, s2: Subspace) -> Subspace:
     """Intersection via the direct stacked-coefficient system.
 
-    Independent of the duality route; solves for coefficient pairs (a, b)
+    Independent of the residual read-off; solves for coefficient pairs (a, b)
     with a . B1 = b . B2 and returns the span of the common vectors.
     """
     s1._require_same_ambient(s2)
@@ -61,15 +62,30 @@ def meet_by_generator_coordinates(
     lie in s's graph, solved in generator coordinates."""
     t._require_same_dims(s)
     width = t.dim_in + t.dim_out
-    coeffs = _coefficient_nullspace(
-        t.graph._rows, s.graph._rows, range(width), range(width)
-    )
+    coeffs = _coefficient_nullspace(t.graph._rows, s.graph._rows, width)
     # Only t's coefficients meet a block; those of s's generators drop out.
     blocks = [(r[1], r[2]) for r in t.graph._rows]
     rows = _combine_rows(coeffs, blocks, width)
     return LinearRelation(
         t.dim_in, t.dim_out, Subspace.from_int_rows(rows, width)
     )
+
+
+def _coefficient_nullspace(t_rows, s_rows, width):
+    """Canonical basis of {(a, b) : a . G_t = b . G_s}: the coefficients of
+    the combinations common to both spans, over the denominator-cleared
+    integer generators (den * row)."""
+    gens = [(re, im, 1) for _, re, im in t_rows]
+    gens += [(re, im, -1) for _, re, im in s_rows]
+    eq_rows = [
+        _rowops.make_row(
+            [sign * re[c] for re, _, sign in gens],
+            [0 if im is None else sign * im[c] for _, im, sign in gens],
+        )
+        for c in range(width)
+    ]
+    pivots, rows = _rowops.rref(eq_rows, len(gens))
+    return _rowops.nullspace(pivots, rows, len(gens))[1]
 
 
 def compose_by_slot_elimination(
@@ -84,7 +100,7 @@ def compose_by_slot_elimination(
     total = n + e + m
     lift_t = _embed(t.graph, total, 0).sum_with(_coordinate_block(total, n + e, m))
     lift_s = _embed(s.graph, total, n).sum_with(_coordinate_block(total, 0, n))
-    triple = lift_t.intersect(lift_s)
+    triple = intersect_by_stacking(lift_t, lift_s)
     rows = [
         (den, re[:n] + re[n + e :], None if im is None else im[:n] + im[n + e :])
         for den, re, im in triple._rows
@@ -100,7 +116,7 @@ def plus_by_slot_elimination(t: LinearRelation, s: LinearRelation) -> LinearRela
     total = n + m + m
     lift_t = _embed(t.graph, total, 0).sum_with(_coordinate_block(total, n + m, m))
     lift_s = _lift_outer(s.graph, n, m).sum_with(_coordinate_block(total, n, m))
-    pairs = lift_t.intersect(lift_s)
+    pairs = intersect_by_stacking(lift_t, lift_s)
     rows = []
     for den, re, im in pairs._rows:
         nre = list(re[:n]) + [re[n + k] + re[n + m + k] for k in range(m)]

@@ -4,12 +4,11 @@ A relation T from F^n to F^m is stored purely as the canonical graph
 subspace; domain, range, kernel and multivalued part are derived on demand
 and held in the memo of :mod:`relcalc.subspaces`: one source of truth.
 They are read off the canonical rows of the graph and of the inverse's
-graph without a new echelon form, as are the adjoint's condition rows.  The
-meet is the intersection of the graphs.
-
-Composition and the pointwise sum are computed by existential elimination:
-the constrained coefficient space of generator pairs is solved exactly and
-the matched combinations are projected onto the result slots.
+graph without a new echelon form, as are I - T and the adjoint's condition
+rows.  The meet is the intersection of the graphs.  Composition and the
+pointwise sum reduce one operand's generators against the other's graph and
+read the result off one echelon form of the residual rows, as the
+intersection does.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from typing import NamedTuple
 from . import _rowops
 from .errors import DimensionError
 from .matrices import row_to_ints
-from .subspaces import Subspace, involution, memo, memoized
+from .subspaces import Subspace, _read_off, involution, memo, memoized
 
 
 class RelationParts(NamedTuple):
@@ -229,18 +228,29 @@ class LinearRelation:
 
     @involution
     def one_minus(self) -> "LinearRelation":
-        """I - T = {(u, u - v) : (u, v) in T}; square relations only."""
+        """I - T = {(u, u - v) : (u, v) in T}; square relations only.
+
+        Read off the canonical rows of the graph with the same pivots: a
+        row (0, v) of the multivalued part stays as it is, and a row (u, v)
+        pivoting in the first block becomes (u, u - v), reduced against
+        those rows.
+        """
         self._require_square()
         n = self.dim_in
+        graph = self.graph
+        split = sum(p < n for p in graph._pivots)
+        mul_pivots, mul_rows = graph._pivots[split:], graph._rows[split:]
         rows = []
-        for den, re, im in self.graph._rows:
-            nre = list(re[:n]) + [re[k] - re[n + k] for k in range(n)]
-            if im is None:
-                nim = None
-            else:
-                nim = list(im[:n]) + [im[k] - im[n + k] for k in range(n)]
-            rows.append((den, nre, nim))
-        return LinearRelation(n, n, Subspace.from_int_rows(rows, 2 * n))
+        for den, re, im in graph._rows[:split]:
+            re = re[:n] + tuple(a - b for a, b in zip(re, re[n:]))
+            if im is not None:
+                im = im[:n] + tuple(a - b for a, b in zip(im, im[n:]))
+            den, re, im = _rowops._reduce_content(
+                *_rowops.residual(mul_pivots, mul_rows, (den, re, im))
+            )
+            rows.append((den, tuple(re), None if im is None else tuple(im)))
+        graph = Subspace._from_rref(2 * n, graph._pivots, rows + list(mul_rows))
+        return LinearRelation(n, n, graph)
 
     def closure(self) -> "LinearRelation":
         """Topological closure; the identity map in finite dimension."""
@@ -295,31 +305,27 @@ class LinearRelation:
     def plus(self, other: "LinearRelation") -> "LinearRelation":
         """Pointwise sum {(x, y + z) : (x, y) in T, (x, z) in S}.
 
-        Solved by eliminating the coefficient pairs whose generator
-        combinations share the same input vector.
+        A generator (x, y) of T reduces (x, 0) against S's graph to
+        (x - a, -b), (a, b) in S; the combinations with x = a give
+        (x, y + b), which span T + S with the rows (0, v) of S's mul.
         """
         self._require_same_dims(other)
         n, m = self.dim_in, self.dim_out
-        coeffs = _coefficient_nullspace(
-            self.graph._rows, other.graph._rows, range(n), range(n)
-        )
-        blocks = [
-            ((0,) * n + r[1][n:], None if r[2] is None else (0,) * n + r[2][n:])
-            for r in self.graph._rows
+        zero_m = (0,) * m
+        pairs = [
+            ((re[:n] + zero_m, None if im is None else im[:n] + zero_m), (re, im))
+            for _, re, im in self.graph._rows
         ]
-        blocks += [
-            (r[1], r[2])
-            for r in other.graph._rows
-        ]
-        # Input slot comes from the second operand's combination (equal to
-        # the first's); output slots add because the first block was zeroed
-        # on input.
-        rows = _combine_rows(coeffs, blocks, n + m)
-        return LinearRelation(n, m, Subspace.from_int_rows(rows, n + m))
+        return LinearRelation(n, m, _read_off(other.graph, n, pairs, n + m))
 
     def compose(self, other: "LinearRelation") -> "LinearRelation":
         """Relation product self(other(.)): pairs (x, y) such that
-        (x, z) in other and (z, y) in self for some z."""
+        (x, z) in other and (z, y) in self for some z.
+
+        A generator (x, z) of other reduces (z, 0) against self's graph to
+        (z - a, -b), (a, b) in self; the combinations with z = a give
+        (x, b), which span the product with the rows (0, v) of self's mul.
+        """
         if other.dim_out != self.dim_in:
             raise DimensionError(
                 f"cannot compose {self.dim_in}->{self.dim_out} after "
@@ -328,21 +334,15 @@ class LinearRelation:
         n = other.dim_in
         e = other.dim_out
         m = self.dim_out
-        # Match other's output slot with self's input slot.
-        coeffs = _coefficient_nullspace(
-            other.graph._rows, self.graph._rows, range(n, n + e), range(e)
-        )
-        zero_m, zero_n = (0,) * m, (0,) * n
-        blocks = [
-            (r[1][:n] + zero_m, None if r[2] is None else r[2][:n] + zero_m)
-            for r in other.graph._rows
+        zero_m = (0,) * m
+        pairs = [
+            (
+                (re[n:] + zero_m, None if im is None else im[n:] + zero_m),
+                (re[:n] + zero_m, None if im is None else im[:n] + zero_m),
+            )
+            for _, re, im in other.graph._rows
         ]
-        blocks += [
-            (zero_n + r[1][e:], None if r[2] is None else zero_n + r[2][e:])
-            for r in self.graph._rows
-        ]
-        rows = _combine_rows(coeffs, blocks, n + m)
-        return LinearRelation(n, m, Subspace.from_int_rows(rows, n + m))
+        return LinearRelation(n, m, _read_off(self.graph, e, pairs, n + m))
 
     def __matmul__(self, other):
         return self.compose(other)
@@ -370,27 +370,3 @@ def _split_at(graph: Subspace, n: int) -> list:
     widths = (n, graph.ambient_dim - n)
     return [Subspace._from_rref(w, *half) for w, half in zip(widths, halves)]
 
-
-def _coefficient_nullspace(t_rows, s_rows, t_cols, s_cols):
-    """Canonical basis of {(a, b) : a . G_t and b . G_s agree on the given
-    columns}: generator coefficients making two slot combinations agree.
-
-    Works on the denominator-cleared integer generators (den * row), so the
-    same scaled generators must be used when assembling the matched
-    combinations from the returned coefficients.
-    """
-    d1, d2 = len(t_rows), len(s_rows)
-    width = d1 + d2
-    eq_rows = []
-    for ct, cs in zip(t_cols, s_cols):
-        re = [t_rows[i][1][ct] for i in range(d1)] + [
-            -s_rows[j][1][cs] for j in range(d2)
-        ]
-        im = [
-            t_rows[i][2][ct] if t_rows[i][2] is not None else 0 for i in range(d1)
-        ] + [
-            -s_rows[j][2][cs] if s_rows[j][2] is not None else 0 for j in range(d2)
-        ]
-        eq_rows.append(_rowops.make_row(re, im))
-    pivots, rows = _rowops.rref(eq_rows, width)
-    return _rowops.nullspace(pivots, rows, width)[1]

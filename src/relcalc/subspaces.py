@@ -190,13 +190,14 @@ class Subspace:
         return Subspace._from_rref(self.ambient_dim, pivots, rows)
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Exact intersection: the smaller operand when the other contains
-        it, else via duality, (S1^perp + S2^perp)^perp."""
+        """Exact intersection, read off the residuals of the smaller
+        operand's rows against the larger one's: the smaller operand itself
+        when they all vanish."""
         self._require_same_ambient(other)
         small, big = (self, other) if self.dim <= other.dim else (other, self)
-        if big.contains(small):
-            return small
-        return self.perp().sum_with(other.perp()).perp()
+        n = self.ambient_dim
+        pairs = [((re, im), (re, im)) for _, re, im in small._rows]
+        return _read_off(big, n, pairs, n, small)
 
     def __and__(self, other):
         return self.intersect(other)
@@ -238,3 +239,53 @@ def _sum(big: Subspace, small: Subspace) -> Subspace:
     if not rest:
         return big
     return Subspace.from_int_rows(list(big._rows) + rest, big.ambient_dim)
+
+
+def _read_off(against: Subspace, k: int, pairs, width: int, spanned=None):
+    """The span of the payloads of the combinations of ``pairs`` whose
+    vectors reduce to zero in the first k columns against ``against`` (a
+    variant of Zassenhaus's sum-intersection algorithm).
+
+    ``pairs`` holds (vec, base) pairs of integer (re, im) vectors, vec in
+    against's ambient space and base in F^width.  Each vec reduces to a
+    residual r, scaled to integers by d; the row (r[:k] | d base - (0, r[k:]))
+    is stacked, and so is (0 | 0, s[k:]) for each row s of ``against``
+    pivoting at or after k.  One ``rref`` puts the rows with a zero residual
+    block last; cut at k (only zeros go, so the content stays reduced) they
+    are the canonical rows of the answer.  ``spanned`` is the span of the
+    payloads when the caller holds it; it is returned, with no ``rref``,
+    when every residual block is zero.
+    """
+    lead = width - against.ambient_dim + k
+    zero_r, zero_b = (0,) * against.ambient_dim, (0,) * width
+
+    def stack(d, r, b):
+        row = list(r[:k])
+        row += [d * x for x in b[:lead]]
+        row += [d * x - y for x, y in zip(b[lead:], r[k:])]
+        return row
+
+    rows = []
+    for (vre, vim), (bre, bim) in pairs:
+        d, rre, rim = _rowops.residual(against._pivots, against._rows, (1, vre, vim))
+        if rim is None and bim is None:
+            rows.append((1, stack(d, rre, bre), None))
+        else:
+            rim, bim = zero_r if rim is None else rim, zero_b if bim is None else bim
+            rows.append((1, stack(d, rre, bre), stack(d, rim, bim)))
+    pad = (0,) * lead
+    for (den, re, im), p in zip(against._rows, against._pivots):
+        if p >= k:
+            pad_im = None if im is None else im[:k] + pad + im[k:]
+            rows.append((den, re[:k] + pad + re[k:], pad_im))
+    if spanned is not None and not any(
+        any(re[:k]) or (im is not None and any(im[:k])) for _, re, im in rows
+    ):
+        return spanned
+    pivots, rows = _rowops.rref(rows, k + width)
+    start = sum(p < k for p in pivots)
+    return Subspace._from_rref(
+        width,
+        [p - k for p in pivots[start:]],
+        [(den, re[k:], None if im is None else im[k:]) for den, re, im in rows[start:]],
+    )

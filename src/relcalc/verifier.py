@@ -87,11 +87,25 @@ def random_vector(rng, cfg, n: int):
     return [random_scalar(rng, cfg) for _ in range(n)]
 
 
+def _random_ints(rng, e: int, n: int) -> tuple:
+    """n draws of ``rng.randint(-e, e)``, the same values to the same stream
+    position: CPython's rejection loop over ``getrandbits`` without the
+    per-call overhead of ``randint``."""
+    bound = 2 * e + 1
+    k, getrandbits, out = bound.bit_length(), rng.getrandbits, []
+    for _ in range(n):
+        r = getrandbits(k)
+        while r >= bound:
+            r = getrandbits(k)
+        out.append(r - e)
+    return tuple(out)
+
+
 def _random_int_row(rng, cfg, n: int):
     e = cfg.max_entry
-    re = tuple(rng.randint(-e, e) for _ in range(n))
+    re = _random_ints(rng, e, n)
     if cfg.complex_enabled:
-        im = tuple(rng.randint(-e, e) for _ in range(n))
+        im = _random_ints(rng, e, n)
         if any(im):
             return (1, re, im)
     return (1, re, None)

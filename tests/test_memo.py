@@ -66,7 +66,7 @@ def test_work_does_not_depend_on_the_collector():
     # A work budget, not a timing: the count depends on no machine, so a
     # change that brings back the exact work the read-offs and the lattice
     # shortcuts save fails here.
-    assert 0 < quiet["calls"] <= 2000
+    assert 0 < quiet["calls"] <= 1600
     assert quiet["calls"] == collected["calls"]
     assert quiet["report"] == collected["report"]
 

@@ -72,6 +72,54 @@ def read_off_relations(draw):
     return LinearRelation.from_generators(pairs, n, m)
 
 
+@st.composite
+def operands(draw, n, m):
+    """Operands of every shape the read-offs of compose, plus and meet
+    handle: the zero and the full relation, and spans of real, complex or
+    mixed generators, some with entries past the kernel's content-reduction
+    bound and some with extra generators (0, y) that give a multivalued
+    part."""
+    shape = draw(st.sampled_from(("spanned", "zero", "full")))
+    if shape == "zero":
+        return LinearRelation.zero(n, m)
+    if shape == "full":
+        return LinearRelation.full(n, m)
+    kind = draw(st.sampled_from(("real", "complex", "mixed")))
+    ints = st.integers(-3, 3)
+    if draw(st.booleans()):
+        ints = st.one_of(ints, st.integers(-(1 << 60), 1 << 60))
+
+    def vector(k, real):
+        return [
+            GaussianRational(draw(ints), 0 if real else draw(ints))
+            for _ in range(k)
+        ]
+
+    def real():
+        return kind == "real" or (kind == "mixed" and draw(st.booleans()))
+
+    pairs = []
+    for _ in range(draw(st.integers(0, n + m))):
+        r = real()
+        pairs.append((vector(n, r), vector(m, r)))
+    pairs += [([0] * n, vector(m, real())) for _ in range(draw(st.integers(0, 2)))]
+    return LinearRelation.from_generators(pairs, n, m)
+
+
+def one_minus_by_int_rows(t):
+    """Reference: map every graph row (u, v) to (u, u - v) and echelonize
+    the images afresh."""
+    n = t.dim_in
+    rows = []
+    for den, re, im in t.graph._rows:
+        nre = list(re[:n]) + [re[k] - re[n + k] for k in range(n)]
+        nim = None
+        if im is not None:
+            nim = list(im[:n]) + [im[k] - im[n + k] for k in range(n)]
+        rows.append((den, nre, nim))
+    return LinearRelation(n, n, Subspace.from_int_rows(rows, 2 * n))
+
+
 def leading_columns(space):
     return tuple(
         next(k for k, x in enumerate(re) if x or (im is not None and im[k]))
@@ -231,6 +279,16 @@ def test_one_minus_matches_pointwise_route(t):
     assert t.one_minus() == LinearRelation.identity(n).plus(minus.compose(t))
 
 
+@settings(max_examples=80)
+@given(st.integers(1, 4).flatmap(lambda n: operands(n, n)))
+def test_one_minus_read_off_matches_int_rows(t):
+    # Computed through the undecorated function, so that the memo's entry
+    # for the involution does not answer it.
+    u = LinearRelation.one_minus.__wrapped__(t)
+    assert u == one_minus_by_int_rows(t)
+    assert u.graph._pivots == t.graph._pivots == leading_columns(u.graph)
+
+
 # -- binary algebra -----------------------------------------------------------------
 
 
@@ -302,6 +360,15 @@ def test_plus_identity_minus_identity():
     assert ident.plus(minus) == operator([[0, 0], [0, 0]])
 
 
+@settings(max_examples=80)
+@given(st.data())
+def test_plus_and_meet_read_off_match_oracles(data):
+    n, m = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    t, s = data.draw(operands(n, m)), data.draw(operands(n, m))
+    assert t.plus(s) == plus_by_slot_elimination(t, s)
+    assert t.meet(s) == meet_by_generator_coordinates(t, s)
+
+
 # -- composition ----------------------------------------------------------------------
 
 
@@ -333,6 +400,30 @@ def test_inverse_composition_closed_forms(t):
         LinearRelation.product_space(Subspace.zero(t.dim_out), t.mul)
     )
     assert lhs == rhs
+
+
+@settings(max_examples=80)
+@given(st.data())
+def test_compose_read_off_matches_slot_elimination(data):
+    # Rectangular shapes (n, e and m drawn apart) and a left operand that may
+    # carry a multivalued part, whose rows the read-off stacks as (0, v).
+    n, e, m = (data.draw(st.integers(1, 3)) for _ in range(3))
+    t, s = data.draw(operands(n, e)), data.draw(operands(e, m))
+    assert s.compose(t) == compose_by_slot_elimination(s, t)
+
+
+def test_compose_through_multivalued_part():
+    # S has mul span{e1}; T maps onto S's domain.  The product keeps S's
+    # multivalued part and sends e0 to (1, 1) + mul.
+    t = LinearRelation.from_generators([(e(0, 2), [1, 2, 0])], 2, 3)
+    s = LinearRelation.from_generators(
+        [([1, 2, 0], [1, 1]), ([0, 0, 0], e(1, 2))], 3, 2
+    )
+    u = s.compose(t)
+    assert u == compose_by_slot_elimination(s, t)
+    assert u.mul == span([e(1, 2)], 2)
+    assert u.dom == span([e(0, 2)], 2)
+    assert u.graph.contains(span([[1, 0, 1, 0]], 4))
 
 
 def test_compose_dimension_check():

@@ -178,6 +178,42 @@ def test_intersection_two_routes_agree(s1, s2):
     assert s1.intersect(s2) == intersect_by_stacking(s1, s2)
 
 
+@st.composite
+def wide_subspaces(draw, ambient=4):
+    """Real, complex or mixed basis rows, some with entries past the
+    kernel's content-reduction bound."""
+    kind = draw(st.sampled_from(("real", "complex", "mixed")))
+    ints = st.integers(-3, 3)
+    if draw(st.booleans()):
+        ints = st.one_of(ints, st.integers(-(1 << 60), 1 << 60))
+    vecs = []
+    for _ in range(draw(st.integers(0, ambient))):
+        real = kind == "real" or (kind == "mixed" and draw(st.booleans()))
+        vecs.append(
+            [
+                GaussianRational(draw(ints), 0 if real else draw(ints))
+                for _ in range(ambient)
+            ]
+        )
+    return span(vecs, ambient)
+
+
+@settings(max_examples=80)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.tuples(wide_subspaces(n), wide_subspaces(n))
+    )
+)
+def test_intersection_read_off_matches_stacking(pair):
+    s1, s2 = pair
+    meet = s1.intersect(s2)
+    assert meet == intersect_by_stacking(s1, s2)
+    assert meet._pivots == leading_columns(meet)
+    small, big = (s1, s2) if s1.dim <= s2.dim else (s2, s1)
+    if big.contains(small):
+        assert meet is small
+
+
 @settings(max_examples=80)
 @given(subspaces(), subspaces(), st.sampled_from(("nested", "zero", "equal", "full")))
 def test_nested_sum_and_meet(s, extra, shape):

@@ -1,6 +1,7 @@
 """Verifier harness: generators, determinism, coverage, self-test."""
 
 import json
+import random
 
 import pytest
 
@@ -13,6 +14,7 @@ from relcalc.verifier import (
     EXCLUDED_CLAIMS,
     CheckSpec,
     GenConfig,
+    _random_int_row,
     coverage_table,
     random_ic_triple,
     random_idempotent,
@@ -46,6 +48,23 @@ def test_trial_rng_is_deterministic_and_separated():
     e = trial_rng(2, "x", 0).random()
     assert a == b
     assert len({a, c, d, e}) == 4
+
+
+@pytest.mark.parametrize("e", [1, 2, 5, 7, 8, 1000, 2**40])
+def test_random_int_row_draws_as_randint(e):
+    # A passing report holds no input values, so its bytes cannot show a
+    # changed stream; this compares the draws and the stream position with
+    # a twin generator that calls randint.
+    for seed in range(200):
+        for complex_enabled in (True, False):
+            cfg = GenConfig(max_entry=e, complex_enabled=complex_enabled)
+            rng, twin = random.Random(seed), random.Random(seed)
+            _, re, im = _random_int_row(rng, cfg, 5)
+            assert re == tuple(twin.randint(-e, e) for _ in range(5))
+            if complex_enabled:
+                drawn = tuple(twin.randint(-e, e) for _ in range(5))
+                assert (im or (0,) * 5) == drawn
+            assert rng.random() == twin.random()
 
 
 def test_random_subspace_dims():
