@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 
 from .errors import InternalCheckError, PreconditionError
 from .subspaces import Subspace
@@ -41,18 +40,6 @@ def require_tol(tol: float) -> None:
         )
 
 
-@dataclass(frozen=True)
-class FloatBasis:
-    """Orthonormal float basis approximating an exact subspace."""
-
-    ambient_dim: int
-    vectors: tuple[tuple[complex, ...], ...]  # dim rows of ambient_dim, orthonormal
-
-    @property
-    def dim(self) -> int:
-        return len(self.vectors)
-
-
 def vdot(u, w) -> complex:
     """<u, w>, conjugate-linear in ``u``."""
     return sum(map(operator.mul, map(complex.conjugate, u), w))
@@ -63,8 +50,11 @@ def vector_norm(w) -> float:
     return math.hypot(*(x for z in w for x in (z.real, z.imag)))
 
 
-def orthonormal_basis_f64(s: Subspace, tol: float = DEFAULT_TOL) -> FloatBasis:
-    """Modified Gram-Schmidt with one reorthogonalization pass.
+def orthonormal_basis_f64(
+    s: Subspace, tol: float = DEFAULT_TOL
+) -> tuple[tuple[complex, ...], ...]:
+    """Orthonormal float rows approximating the exact subspace ``s``, one
+    per basis row: modified Gram-Schmidt with one reorthogonalization pass.
 
     The exact basis rows are independent, so no rank decisions happen in
     floats; the Gram matrix is checked against the identity to ``tol``.
@@ -90,7 +80,7 @@ def orthonormal_basis_f64(s: Subspace, tol: float = DEFAULT_TOL) -> FloatBasis:
         for j, w in enumerate(basis):
             if not abs(vdot(w, u) - (i == j)) <= tol:
                 raise InternalCheckError("orthonormalization failed the Gram check")
-    return FloatBasis(s.ambient_dim, tuple(basis))
+    return tuple(basis)
 
 
 def _largest_singular_value(rows: list[list[complex]]) -> float:
@@ -132,8 +122,8 @@ def dixmier_cos(s: Subspace, t: Subspace, tol: float = DEFAULT_TOL) -> float:
     require_tol(tol)
     if s.is_zero() or t.is_zero():
         return 0.0
-    bs = orthonormal_basis_f64(s, tol).vectors
-    bt = orthonormal_basis_f64(t, tol).vectors
+    bs = orthonormal_basis_f64(s, tol)
+    bt = orthonormal_basis_f64(t, tol)
     if len(bs) > len(bt):
         bs, bt = bt, bs
     # One row per vector of the smaller basis; a conjugate transpose of

@@ -15,9 +15,9 @@ from .angles import (
     vdot,
     vector_norm,
 )
-from .errors import ICViolationError
+from .errors import ICViolationError, InternalCheckError
 from .idempotents import (
-    IdempotentTriple,
+    adjoint_idempotent,
     build_from_range_triple,
     build_pmns,
     classify,
@@ -783,16 +783,10 @@ def check_augmented_adjoint(rng, cfg):
 @check("idempotent_adjoint_triple", ["idempotent-adjoint-triple"])
 def check_idempotent_adjoint(rng, cfg):
     e = random_idempotent(rng, cfg)
-    t = kernel_triple(e)
-    adj = e.adjoint()
-    if not classify(adj).is_idempotent:
-        return ce("adjoint of an idempotent is not idempotent", e=e)
-    mp, np_, sp = t.m.perp(), t.n.perp(), t.s.perp()
-    expected = IdempotentTriple(
-        np_.intersect(sp), mp.intersect(sp), mp.intersect(np_)
-    )
-    if kernel_triple(adj) != expected:
-        return ce("adjoint kernel triple mismatch", e=e)
+    try:
+        adj, _ = adjoint_idempotent(e)
+    except InternalCheckError as exc:
+        return ce(exc.message, e=e)
     if adj.adjoint() != e:
         return ce("double adjoint moved the idempotent", e=e)
     return None
@@ -892,10 +886,10 @@ def check_angle_sampled_sup(rng, cfg):
     bs = orthonormal_basis_f64(s_part, cfg.tol)
     bt = orthonormal_basis_f64(t_part, cfg.tol)
     for _ in range(16):
-        a = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(bs.dim)]
-        b = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(bt.dim)]
-        x = [sum(w * v[k] for w, v in zip(a, bs.vectors)) for k in range(bs.ambient_dim)]
-        y = [sum(w * v[k] for w, v in zip(b, bt.vectors)) for k in range(bt.ambient_dim)]
+        a = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(len(bs))]
+        b = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(len(bt))]
+        x = [sum(w * v[k] for w, v in zip(a, bs)) for k in range(cfg.ambient_dim)]
+        y = [sum(w * v[k] for w, v in zip(b, bt)) for k in range(cfg.ambient_dim)]
         nx, ny = vector_norm(x), vector_norm(y)
         if nx < 1e-12 or ny < 1e-12:
             continue

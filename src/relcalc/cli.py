@@ -70,20 +70,10 @@ def _load_relation(path: str) -> LinearRelation:
 
 def _cmd_classify(args) -> int:
     e = _load_relation(args.relation)
-    cls = idempotents.classify(e)
-    record = {
-        "is_operator": cls.is_operator,
-        "is_sub": cls.is_sub,
-        "is_super": cls.is_super,
-        "is_idempotent": cls.is_idempotent,
-        "is_semi_projection": cls.is_semi_projection,
-        "is_projection": cls.is_projection,
-        "witnesses": {
-            key: None
-            if pair is None
-            else [documents.vector_payload(half) for half in pair]
-            for key, pair in sorted(cls.witnesses.items())
-        },
+    record = idempotents.classify(e)._asdict()
+    record["witnesses"] = {
+        key: None if pair is None else [documents.vector_payload(half) for half in pair]
+        for key, pair in record["witnesses"].items()
     }
     _emit_json(record, args.output)
     return 0

@@ -10,7 +10,7 @@ trailing newline) so equal values produce identical bytes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from .errors import DimensionError, ParseError
 from .idempotents import IdempotentTriple, RangeTriple
@@ -29,10 +29,11 @@ KINDS = ("subspace", "relation", "triple", "report")
 MAX_DOCUMENT_DIM = 256
 
 
-@dataclass(frozen=True)
-class DocumentEnvelope:
+class DocumentEnvelope(NamedTuple):
+    """A document's kind and value.  ``FORMAT_VERSION`` is the one accepted
+    version: parsing checks it and serialization writes it."""
+
     kind: str
-    version: str
     payload: object
 
 
@@ -63,21 +64,22 @@ def relation_payload(t: LinearRelation) -> dict:
 
 
 def triple_payload(t: IdempotentTriple | RangeTriple) -> dict:
-    """Ambient plus one subspace body per component (m/n/s or x/y/z)."""
-    body = {f.name: subspace_payload(getattr(t, f.name)) for f in fields(t)}
-    return {"ambient": t.ambient_dim, **body}
+    """Ambient plus one subspace body per component (m/n/s or x/y/z); the
+    components share the ambient, which the triple's condition checks."""
+    body = {k: subspace_payload(v) for k, v in zip(t._fields, t)}
+    return {"ambient": t[0].ambient_dim, **body}
 
 
 def wrap(obj) -> DocumentEnvelope:
     """Envelope for any documentable value."""
     if isinstance(obj, Subspace):
-        return DocumentEnvelope("subspace", FORMAT_VERSION, obj)
+        return DocumentEnvelope("subspace", obj)
     if isinstance(obj, LinearRelation):
-        return DocumentEnvelope("relation", FORMAT_VERSION, obj)
+        return DocumentEnvelope("relation", obj)
     if isinstance(obj, (IdempotentTriple, RangeTriple)):
-        return DocumentEnvelope("triple", FORMAT_VERSION, obj)
+        return DocumentEnvelope("triple", obj)
     if isinstance(obj, dict):
-        return DocumentEnvelope("report", FORMAT_VERSION, obj)
+        return DocumentEnvelope("report", obj)
     raise ParseError(f"cannot wrap {type(obj).__name__} in a document")
 
 
@@ -93,7 +95,7 @@ def document_dict(env: DocumentEnvelope) -> dict:
         body = dict(env.payload)
     else:
         raise ParseError(f"unknown document kind {env.kind!r}")
-    return {"kind": env.kind, "version": env.version, **body}
+    return {"kind": env.kind, "version": FORMAT_VERSION, **body}
 
 
 def serialize_document(env: DocumentEnvelope) -> str:
@@ -179,8 +181,7 @@ def parse_relation_body(doc: dict, where: str = "$") -> LinearRelation:
 def parse_triple_body(doc: dict, where: str = "$"):
     ambient = _require_count(doc, "ambient", where)
     for triple in (IdempotentTriple, RangeTriple):
-        keys = [f.name for f in fields(triple)]
-        if all(k in doc for k in keys):
+        if all(k in doc for k in triple._fields):
             break
     else:
         raise ParseError(
@@ -188,7 +189,7 @@ def parse_triple_body(doc: dict, where: str = "$"):
             field=where,
         )
     spaces = []
-    for key in keys:
+    for key in triple._fields:
         body = doc[key]
         if not isinstance(body, dict):
             raise ParseError(
@@ -240,7 +241,7 @@ def parse_document(text: str) -> DocumentEnvelope:
         payload = {
             k: v for k, v in doc.items() if k not in ("kind", "version")
         }
-    return DocumentEnvelope(kind, version, payload)
+    return DocumentEnvelope(kind, payload)
 
 
 def load_document(path: str) -> DocumentEnvelope:

@@ -33,14 +33,15 @@ class ParseError(RelcalcError):
 
 
 class DimensionError(RelcalcError):
-    """Mismatched ambient dimensions, vector lengths, or matrix shapes."""
+    """Mismatched ambient dimensions, vector lengths, or matrix shapes, and a
+    non-square relation where a square one is needed."""
 
     exit_code = 3
 
 
 class PreconditionError(RelcalcError):
-    """A mathematical precondition does not hold (IC violation, non-square
-    relation, non-idempotent input, division by zero)."""
+    """A mathematical precondition does not hold (IC violation,
+    non-idempotent input, division by zero)."""
 
     exit_code = 4
 

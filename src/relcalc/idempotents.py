@@ -18,7 +18,8 @@ condition (M+N) meet S = M meet N holds, or the range triple
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import (
     DimensionError,
@@ -122,36 +123,50 @@ def range_condition_holds(x: Subspace, y: Subspace, z: Subspace) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class IdempotentTriple:
+class _Triple(tuple):
+    """Three subspaces, named by ``_fields``, that pass the class's
+    ``_condition`` on construction.  A triple equals and hashes alike only
+    triples of its own class: a kernel triple is never a range triple."""
+
+    __slots__ = ()
+    _fields: tuple[str, str, str]
+
+    def __init_subclass__(cls):
+        for i, name in enumerate(cls._fields):
+            setattr(cls, name, property(itemgetter(i)))
+
+    def __new__(cls, a: Subspace, b: Subspace, c: Subspace):
+        cls._condition(a, b, c)
+        return super().__new__(cls, (a, b, c))
+
+    def __eq__(self, other):
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):  # tuple's own __ne__ would win over object's
+        return not self == other
+
+    def __hash__(self):
+        return hash((type(self), *self))
+
+    def __repr__(self):
+        body = ", ".join(f"{k}={v!r}" for k, v in zip(self._fields, self))
+        return f"{type(self).__name__}({body})"
+
+
+class IdempotentTriple(_Triple):
     """(ker(I-E), ker E, mul E) of an idempotent; carries the IC."""
 
-    m: Subspace
-    n: Subspace
-    s: Subspace
-
-    def __post_init__(self):
-        require_ic(self.m, self.n, self.s)
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.m.ambient_dim
+    __slots__ = ()
+    _fields = ("m", "n", "s")
+    _condition = staticmethod(require_ic)
 
 
-@dataclass(frozen=True)
-class RangeTriple:
+class RangeTriple(_Triple):
     """(ran E, ran(I-E), dom E) of an idempotent."""
 
-    x: Subspace
-    y: Subspace
-    z: Subspace
-
-    def __post_init__(self):
-        require_range_condition(self.x, self.y, self.z)
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.x.ambient_dim
+    __slots__ = ()
+    _fields = ("x", "y", "z")
+    _condition = staticmethod(require_range_condition)
 
 
 def build_pmns(m: Subspace, n: Subspace, s: Subspace) -> LinearRelation:
@@ -175,15 +190,17 @@ def build_from_range_triple(
 # -- classification ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
+    """The flags of :func:`classify`; ``witnesses`` maps each failed
+    inclusion to a generator pair that shows it (or ``None``)."""
+
     is_operator: bool
     is_sub: bool
     is_super: bool
     is_idempotent: bool
     is_semi_projection: bool
     is_projection: bool
-    witnesses: dict = field(default_factory=dict, compare=False)
+    witnesses: dict
 
 
 def _graph_witness(bigger: LinearRelation, smaller: LinearRelation):

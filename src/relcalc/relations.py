@@ -211,9 +211,6 @@ class LinearRelation:
     def mul(self) -> Subspace:
         return self.parts().mul
 
-    def is_operator(self) -> bool:
-        return self.mul.is_zero()
-
     # -- unary operations ----------------------------------------------------
 
     @involution

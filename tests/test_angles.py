@@ -33,14 +33,14 @@ def span(vectors, n):
 
 def test_orthonormal_normalizes():
     b = orthonormal_basis_f64(span([[2, 0]], 2))
-    assert b.dim == 1
-    assert np.allclose(np.array(b.vectors), [[1.0, 0.0]])
+    assert len(b) == 1
+    assert np.allclose(np.array(b), [[1.0, 0.0]])
 
 
 def test_orthonormal_plane():
     b = orthonormal_basis_f64(span([e(0, 3), e(1, 3)], 3))
-    assert b.dim == 2
-    q = np.array(b.vectors)
+    assert len(b) == 2
+    q = np.array(b)
     gram = q @ q.conj().T
     assert np.allclose(gram, np.eye(2), atol=1e-12)
 
@@ -48,12 +48,11 @@ def test_orthonormal_plane():
 def test_orthonormal_diagonal():
     b = orthonormal_basis_f64(span([[1, 1]], 2))
     root_half = math.sqrt(2) / 2
-    assert np.allclose(np.abs(np.array(b.vectors)), [[root_half, root_half]], atol=1e-12)
+    assert np.allclose(np.abs(np.array(b)), [[root_half, root_half]], atol=1e-12)
 
 
 def test_orthonormal_zero_subspace():
-    b = orthonormal_basis_f64(Subspace.zero(3))
-    assert b.dim == 0 and b.vectors == () and b.ambient_dim == 3
+    assert orthonormal_basis_f64(Subspace.zero(3)) == ()
 
 
 def test_dixmier_identical_lines():

@@ -226,7 +226,7 @@ def test_hostile_document_text_is_a_parse_error(text):
 
 def test_report_passthrough():
     body = {"checks": [], "pass": True, "config": {}}
-    env = DocumentEnvelope("report", "1", body)
+    env = DocumentEnvelope("report", body)
     back = parse_document(serialize_document(env))
     assert back.kind == "report"
     assert back.payload["pass"] is True

@@ -223,6 +223,20 @@ def test_triple_guards():
         RangeTriple(line(0, 2), Subspace.zero(2), Subspace.full(2))
 
 
+def test_triples_compare_only_within_their_class():
+    full = Subspace.full(3)
+    kt = IdempotentTriple(full, full, full)
+    rt = RangeTriple(full, full, full)
+    assert tuple(kt) == tuple(rt)
+    assert not kt == rt and not rt == kt
+    assert kt != rt and rt != kt
+    for t in (kt, rt):
+        copy = type(t)(*t)
+        assert copy == t and not copy != t and hash(copy) == hash(t)
+    assert len({kt, rt}) == 2
+    assert (kt.m, kt.n, kt.s) == (rt.x, rt.y, rt.z) == (full, full, full)
+
+
 def test_kernel_triple_requires_idempotent():
     t = super_form(line(0, 2), span([[1, 1]], 2), line(1, 2))
     with pytest.raises(NotIdempotentError) as err:
