@@ -58,14 +58,17 @@ def orthonormal_basis_f64(
 
     The exact basis rows are independent, so no rank decisions happen in
     floats; the Gram matrix is checked against the identity to ``tol``.
-    Each row is divided exactly by its largest real or imaginary part
-    before conversion, so entries past the float range still convert.
+    Each canonical integer row is divided by its largest real or imaginary
+    part (the denominator cancels); integer true division rounds correctly,
+    so entries past the float range still convert.
     """
     require_tol(tol)
     basis: list[tuple[complex, ...]] = []
-    for vec in s.basis_vectors():
-        top = max(max(abs(z.re), abs(z.im)) for z in vec)
-        w = [complex(float(z.re / top), float(z.im / top)) for z in vec]
+    zeros = (0,) * s.ambient_dim
+    for _, re, im in s._rows:
+        im = zeros if im is None else im
+        top = max(map(abs, re + im))
+        w = [complex(x / top, y / top) for x, y in zip(re, im)]
         for _ in range(2):
             for u in basis:
                 c = vdot(u, w)

@@ -148,6 +148,10 @@ class _Triple(tuple):
     def __hash__(self):
         return hash((type(self), *self))
 
+    def __reduce__(self):
+        # Copies and pickles check the condition again in __new__.
+        return type(self), tuple(self)
+
     def __repr__(self):
         body = ", ".join(f"{k}={v!r}" for k, v in zip(self._fields, self))
         return f"{type(self).__name__}({body})"

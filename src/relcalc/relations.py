@@ -156,6 +156,10 @@ class LinearRelation:
     def __hash__(self):
         return self._hash
 
+    def __reduce__(self):
+        # Copies and pickles go through the constructor, so they intern.
+        return type(self), (self.dim_in, self.dim_out, self.graph)
+
     def __repr__(self) -> str:
         return (
             f"LinearRelation({self.dim_in}->{self.dim_out}, "

@@ -47,6 +47,10 @@ class GaussianRational:
     def __hash__(self):
         return hash((self.re, self.im))
 
+    def __reduce__(self):
+        # The default would restore the slots through __setattr__.
+        return GaussianRational, (self.re, self.im)
+
     def __add__(self, other):
         other = _coerce(other)
         if other is None:

@@ -149,6 +149,11 @@ class Subspace:
     def __hash__(self):
         return self._hash
 
+    def __reduce__(self):
+        # Rebuilt from the rows: the stored hash covers ``hash(None)``, which
+        # differs between interpreter processes, and the copy is interned.
+        return Subspace._from_rref, (self.ambient_dim, self._pivots, self._rows)
+
     def __repr__(self) -> str:
         vecs = ", ".join(
             "(" + ", ".join(str(e) for e in v) + ")" for v in self.basis_vectors()
@@ -170,9 +175,12 @@ class Subspace:
     # -- lattice operations ------------------------------------------------
 
     def sum_with(self, other: "Subspace") -> "Subspace":
+        """self + other.  A zero, full or equal operand is decided from the
+        dimensions and the canonical rows: the larger operand, which the
+        residual route would return, with no kernel call."""
         self._require_same_ambient(other)
         big, small = (self, other) if self.dim >= other.dim else (other, self)
-        if small.is_zero():
+        if small.is_zero() or big.dim == big.ambient_dim or big == small:
             return big
         return _sum(big, small)
 
@@ -192,10 +200,13 @@ class Subspace:
     def intersect(self, other: "Subspace") -> "Subspace":
         """Exact intersection, read off the residuals of the smaller
         operand's rows against the larger one's: the smaller operand itself
-        when they all vanish."""
+        when they all vanish, and with no kernel call when an operand is
+        zero or full or the two are equal."""
         self._require_same_ambient(other)
         small, big = (self, other) if self.dim <= other.dim else (other, self)
         n = self.ambient_dim
+        if small.is_zero() or big.dim == n or big == small:
+            return small
         pairs = [((re, im), (re, im)) for _, re, im in small._rows]
         return _read_off(big, n, pairs, n, small)
 
@@ -206,10 +217,14 @@ class Subspace:
         return _rowops.member(self._pivots, self._rows, int_row)
 
     def contains(self, other: "Subspace") -> bool:
-        """True when other is a subset of self."""
+        """True when other is a subset of self: row equality at equal
+        dimensions, and no kernel call for a full self (nor for a zero
+        other, which has no rows to test)."""
         self._require_same_ambient(other)
-        if other.dim > self.dim:
-            return False
+        if other.dim >= self.dim:
+            return other.dim == self.dim and other._rows == self._rows
+        if self.dim == self.ambient_dim:
+            return True
         return all(
             _rowops.member(self._pivots, self._rows, r) for r in other._rows
         )

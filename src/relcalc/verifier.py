@@ -31,7 +31,6 @@ from .idempotents import (
     super_form,
 )
 from .relations import LinearRelation, _combine_rows
-from .scalars import GaussianRational
 from .subspaces import Subspace
 
 MAX_AMBIENT = 8
@@ -75,16 +74,6 @@ def trial_rng(seed: int, check_name: str, index: int) -> random.Random:
 
 
 # -- generators -----------------------------------------------------------------
-
-
-def random_scalar(rng: random.Random, cfg: GenConfig) -> GaussianRational:
-    re = rng.randint(-cfg.max_entry, cfg.max_entry)
-    im = rng.randint(-cfg.max_entry, cfg.max_entry) if cfg.complex_enabled else 0
-    return GaussianRational(re, im)
-
-
-def random_vector(rng, cfg, n: int):
-    return [random_scalar(rng, cfg) for _ in range(n)]
 
 
 def _random_ints(rng, e: int, n: int) -> tuple:
@@ -174,20 +163,25 @@ def random_independent_split(rng, cfg, parts: int = 3):
     """Split a random independent family into ``parts`` transversal spans."""
     n = cfg.ambient_dim
     target = rng.randint(0, n)
-    chosen: list[list] = []
+    chosen: list[tuple] = []
     current = Subspace.zero(n)
     attempts = 0
     while current.dim < target and attempts < 8 * n:
         attempts += 1
-        v = random_vector(rng, cfg, n)
-        grown = current.sum_with(Subspace.span([v], n))
+        # Entry k takes draws 2k (re) and 2k + 1 (im) on the complex path.
+        if cfg.complex_enabled:
+            draws = _random_ints(rng, cfg.max_entry, 2 * n)
+            v = (1, draws[::2], draws[1::2])
+        else:
+            v = (1, _random_ints(rng, cfg.max_entry, n), None)
+        grown = current.sum_with(Subspace.from_int_rows([v], n))
         if grown.dim > current.dim:
             chosen.append(v)
             current = grown
     groups = [[] for _ in range(parts)]
     for v in chosen:
         groups[rng.randrange(parts)].append(v)
-    return [Subspace.span(g, n) for g in groups]
+    return [Subspace.from_int_rows(g, n) for g in groups]
 
 
 def random_ic_triple(rng, cfg) -> IdempotentTriple:

@@ -1,9 +1,13 @@
 """Idempotent calculus: classification, triples, canonical constructions."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from relcalc import (
+    Classification,
     GaussianRational,
     ICViolationError,
     IdempotentTriple,
@@ -235,6 +239,33 @@ def test_triples_compare_only_within_their_class():
         assert copy == t and not copy != t and hash(copy) == hash(t)
     assert len({kt, rt}) == 2
     assert (kt.m, kt.n, kt.s) == (rt.x, rt.y, rt.z) == (full, full, full)
+
+
+def test_values_survive_copy_and_pickle(monkeypatch):
+    # A fresh memo, so no flush can separate a value from its copies.
+    monkeypatch.setattr("relcalc.subspaces._memo", {})
+    m = span([[1, GaussianRational(0, 1), 2]], 3)
+    e = build_pmns(m, line(1, 3), Subspace.zero(3))
+    values = [
+        GaussianRational(1, -2),
+        m,
+        e,
+        kernel_triple(e),
+        range_triple(e),
+        classify(e),
+    ]
+    for value in values:
+        for back in (
+            copy.copy(value),
+            copy.deepcopy(value),
+            pickle.loads(pickle.dumps(value)),
+        ):
+            assert type(back) is type(value)
+            assert back == value and not back != value
+            if type(value) is not Classification:  # its witnesses are a dict
+                assert hash(back) == hash(value)
+            if isinstance(value, (Subspace, LinearRelation)):
+                assert back is value  # interned
 
 
 def test_kernel_triple_requires_idempotent():

@@ -2,6 +2,7 @@
 
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -10,8 +11,9 @@ from relcalc import LinearRelation, Subspace, classify, subspaces
 
 SRC = Path(subspaces.__file__).resolve().parent.parent
 
-# Runs one small fuzz suite in a fresh interpreter with ``_rowops.rref``
-# counted; ``gc`` either never runs or runs before every trial.
+# Runs one small fuzz suite in a fresh interpreter with ``_rowops.rref`` and
+# ``_rowops.residual`` counted; ``gc`` either never runs or runs before
+# every trial.
 COUNT_SCRIPT = """
 import gc
 import json
@@ -20,17 +22,21 @@ import sys
 from relcalc import _rowops, verifier
 from relcalc.documents import serialize_document, wrap
 
-calls = 0
-rref = _rowops.rref
+calls = {"rref": 0, "residual": 0}
 
 
-def counted(rows, width):
-    global calls
-    calls += 1
-    return rref(rows, width)
+def counted(name):
+    fn = getattr(_rowops, name)
+
+    def wrapper(*args):
+        calls[name] += 1
+        return fn(*args)
+
+    return wrapper
 
 
-_rowops.rref = counted
+_rowops.rref = counted("rref")
+_rowops.residual = counted("residual")
 if sys.argv[1] == "disable":
     gc.disable()
 else:
@@ -63,12 +69,32 @@ def _counted_run(mode):
 def test_work_does_not_depend_on_the_collector():
     quiet = _counted_run("disable")
     collected = _counted_run("collect")
-    # A work budget, not a timing: the count depends on no machine, so a
+    # Work budgets, not timings: the counts depend on no machine, so a
     # change that brings back the exact work the read-offs and the lattice
     # shortcuts save fails here.
-    assert 0 < quiet["calls"] <= 1600
+    assert 0 < quiet["calls"]["rref"] <= 1600
+    assert 0 < quiet["calls"]["residual"] <= 1300
     assert quiet["calls"] == collected["calls"]
     assert quiet["report"] == collected["report"]
+
+
+def test_pickles_hash_alike_in_another_process():
+    # A real row's im is None, and hash(None) differs between processes, so
+    # an unpickled value must hash from its rows and not carry a stored hash.
+    script = (
+        "import pickle, sys\n"
+        "from relcalc import LinearRelation\n"
+        "sys.stdout.buffer.write(pickle.dumps(LinearRelation.identity(2)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    back = pickle.loads(done.stdout)
+    here = LinearRelation.identity(2)
+    assert back == here and hash(back) == hash(here)
+    assert hash(back.graph) == hash(here.graph)
 
 
 def _relation():

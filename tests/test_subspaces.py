@@ -1,9 +1,12 @@
 """Subspace lattice: canonical form, sum, meet, complements."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from relcalc import DimensionError, GaussianRational, LinearRelation, Subspace
+from relcalc import _rowops
 from relcalc.oracles import intersect_by_stacking
 
 I = GaussianRational(0, 1)
@@ -253,3 +256,56 @@ def test_canonicality_under_regeneration(s, rnd):
 def test_ambient_mismatch():
     with pytest.raises(DimensionError):
         span([e(0, 2)], 2).intersect(span([e(0, 3)], 3))
+
+
+def _count_kernel_calls(monkeypatch):
+    calls = Counter()
+    for name in ("residual", "member", "rref"):
+
+        def counted(*args, _fn=getattr(_rowops, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(_rowops, name, counted)
+    return calls
+
+
+def test_zero_full_and_equal_operands_make_no_kernel_call(monkeypatch):
+    n = 3
+    zero, full = Subspace.zero(n), Subspace.full(n)
+    line = span([[1, I, 2]], n)
+    plane = span([e(0, n), [0, 1, 1 - I]], n)
+    other_line = span([e(1, n)], n)
+    calls = _count_kernel_calls(monkeypatch)
+    for s in (zero, line, plane, full):
+        # An equal value that is another object, as after a memo flush.
+        twin = Subspace(n, s._pivots, s._rows, _internal=True)
+        assert twin is not s and twin == s
+        for a, b in ((s, zero), (zero, s)):
+            assert a + b is s and a & b is zero
+        for a, b in ((s, full), (full, s)):
+            assert a + b is full and a & b is s
+        assert s + twin is s and s & twin is s
+        assert s.contains(zero) and full.contains(s)
+        assert s.contains(twin) and twin.contains(s)
+    assert not line.contains(other_line) and not other_line.contains(line)
+    assert not any(calls.values())
+    # The counters do count: a proper containment asks the kernel.
+    assert plane.contains(span([e(0, n)], n)) and calls["member"] == 1
+
+
+@pytest.mark.parametrize(
+    "op", [Subspace.sum_with, Subspace.intersect, Subspace.contains]
+)
+def test_ambient_mismatch_comes_before_the_shortcuts(op):
+    shapes = [
+        (Subspace.zero(2), Subspace.zero(3)),
+        (Subspace.full(2), Subspace.full(3)),
+        (Subspace.zero(2), Subspace.full(3)),
+        (Subspace.full(2), span([e(0, 3)], 3)),
+        (Subspace.zero(2), span([e(0, 3)], 3)),
+    ]
+    for a, b in shapes:
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(DimensionError):
+                op(x, y)

@@ -1,5 +1,6 @@
 """Verifier harness: generators, determinism, coverage, self-test."""
 
+import hashlib
 import json
 import random
 
@@ -111,6 +112,28 @@ def test_report_bytes_are_stable():
     b2 = serialize_document(wrap(r2.json_dict()))
     assert b1 == b2
     assert r1.passed
+
+
+# Criterion-9 across commits: the SHA-256 of the report bytes of fixed
+# suites.  Any change to the generators' draws, a check's decisions or the
+# document format moves a digest.
+REPORT_DIGESTS = [
+    (
+        {"ambient_dim": 4, "trials": 30, "seed": 1},
+        "13e41fc0c07848916c240b43a5bbc53185a476558419c8ed143e12746a47d5b6",
+    ),
+    (
+        {"ambient_dim": 8, "trials": 14, "seed": 1, "complex_enabled": False},
+        "f92c93e45402ffe8ef5482683ec1cd74a4fb80a6dfb2e80a0672b95d110052fa",
+    ),
+]
+
+
+@pytest.mark.parametrize(("config", "digest"), REPORT_DIGESTS)
+def test_report_digests_are_pinned(config, digest):
+    report = verify_suite(GenConfig(**config))
+    text = serialize_document(wrap(report.json_dict()))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_report_structure():
