@@ -4,6 +4,10 @@ Every subcommand reads document files (see :mod:`relcalc.documents`), writes
 a deterministic result to stdout or ``-o FILE``, and signals failure through
 exit codes: 0 ok, 2 parse error, 3 dimension error, 4 violated mathematical
 precondition, 5 breached internal invariant (including fuzz counterexamples).
+
+Each handler imports the modules that only it runs (idempotents, angles, the
+verifier), and the parser of a named subcommand holds only that subcommand,
+so one process loads and builds no more than its subcommand needs.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import json
 import os
 import sys
 
-from . import angles, documents, idempotents
+from . import documents
 from .errors import ICViolationError, ParseError, RelcalcError
 from .relations import LinearRelation
 from .subspaces import Subspace
@@ -69,10 +73,12 @@ def _load_relation(path: str) -> LinearRelation:
 
 
 def _cmd_classify(args) -> int:
+    from .idempotents import classify
+
     e = _load_relation(args.relation)
-    record = idempotents.classify(e)._asdict()
+    record = classify(e)._asdict()
     record["witnesses"] = {
-        key: None if pair is None else [documents.vector_payload(half) for half in pair]
+        key: None if pair is None else [[str(z) for z in half] for half in pair]
         for key, pair in record["witnesses"].items()
     }
     _emit_json(record, args.output)
@@ -93,20 +99,27 @@ def _cmd_parts(args) -> int:
     return 0
 
 
+def _method(args) -> str:
+    """Subcommand "hat-sum" runs LinearRelation.hat_sum, and so on."""
+    return args.command.replace("-", "_")
+
+
 def _cmd_binary(args) -> int:
     a = _load_relation(args.left)
     b = _load_relation(args.right)
-    _emit_document(getattr(a, args.method)(b), args.output)
+    _emit_document(getattr(a, _method(args))(b), args.output)
     return 0
 
 
 def _cmd_unary(args) -> int:
     t = _load_relation(args.relation)
-    _emit_document(getattr(t, args.method)(), args.output)
+    _emit_document(getattr(t, _method(args))(), args.output)
     return 0
 
 
 def _cmd_build(args) -> int:
+    from . import idempotents
+
     spaces = [_load_subspace(p) for p in args.spaces]
     kind = args.form
     if kind == "pmn":
@@ -127,6 +140,8 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_triple(args) -> int:
+    from . import idempotents
+
     e = _load_relation(args.relation)
     if args.kind == "kernel":
         triple = idempotents.kernel_triple(e)
@@ -137,6 +152,8 @@ def _cmd_triple(args) -> int:
 
 
 def _cmd_convert_triple(args) -> int:
+    from . import idempotents
+
     payload = _load_kind(args.triple, "triple")
     if isinstance(payload, idempotents.IdempotentTriple):
         result = idempotents.triple_convert(payload)
@@ -147,11 +164,13 @@ def _cmd_convert_triple(args) -> int:
 
 
 def _cmd_ic(args) -> int:
+    from .idempotents import require_ic
+
     m = _load_subspace(args.m)
     n = _load_subspace(args.n)
     s = _load_subspace(args.s)
     try:
-        idempotents.require_ic(m, n, s)
+        require_ic(m, n, s)
     except ICViolationError:
         _emit("IC: violated", args.output)
         raise
@@ -160,9 +179,11 @@ def _cmd_ic(args) -> int:
 
 
 def _cmd_angles(args) -> int:
+    from .angles import angles_record
+
     s = _load_subspace(args.left)
     t = _load_subspace(args.right)
-    record = angles.angles_record(s, t, args.tol)
+    record = angles_record(s, t, args.tol)
     _emit_json(record, args.output)
     return 0
 
@@ -231,7 +252,82 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(f"{self.prog}: {message}")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _arg(*flags, **options):
+    """One ``add_argument`` call, kept until its subparser is built."""
+    return flags, options
+
+
+_RELATION = [_arg("relation")]
+_LEFT_RIGHT = [_arg("left"), _arg("right")]
+
+# Subcommand: handler, help text, and the arguments after -o.
+_SUBCOMMANDS = {
+    "classify": (_cmd_classify, "classification flags of a relation", _RELATION),
+    "parts": (_cmd_parts, "dom/ran/ker/mul of a relation", _RELATION),
+    "compose": (_cmd_binary, "product LEFT o RIGHT (RIGHT acts first)", _LEFT_RIGHT),
+    "hat-sum": (_cmd_binary, "graph sum of two relations", _LEFT_RIGHT),
+    "meet": (_cmd_binary, "graph intersection of two relations", _LEFT_RIGHT),
+    "plus": (_cmd_binary, "pointwise sum of two relations", _LEFT_RIGHT),
+    "adjoint": (_cmd_unary, "adjoint relation", _RELATION),
+    "inverse": (_cmd_unary, "inverse relation", _RELATION),
+    "one-minus": (_cmd_unary, "I - T of a square relation", _RELATION),
+    "build": (
+        _cmd_build,
+        "canonical idempotent constructions",
+        [
+            _arg("form", choices=("pmn", "pmns", "min", "max")),
+            _arg("spaces", nargs="+", help="subspace document files"),
+        ],
+    ),
+    "triple": (
+        _cmd_triple,
+        "kernel or range triple of an idempotent",
+        [*_RELATION, _arg("--kind", choices=("kernel", "range"), default="kernel")],
+    ),
+    "convert-triple": (_cmd_convert_triple, "switch triple flavors", [_arg("triple")]),
+    "ic": (
+        _cmd_ic,
+        "test the idempotency condition on three subspaces",
+        [_arg("m"), _arg("n"), _arg("s")],
+    ),
+    "angles": (
+        _cmd_angles,
+        "Dixmier and Friedrichs cosines",
+        [*_LEFT_RIGHT, _arg("--tol", type=float, default=1e-9)],
+    ),
+    "fuzz": (
+        _cmd_fuzz,
+        "run the randomized identity suite",
+        [
+            _arg("--dim", type=int, default=4, help="ambient dimension (max 8)"),
+            _arg("--trials", type=int, default=100),
+            _arg(
+                "--seed",
+                type=int,
+                default=None,
+                help=f"default: ${DEFAULT_SEED_ENV} or 0",
+            ),
+            _arg("--max-entry", type=int, default=5),
+            _arg("--real", action="store_true", help="disable complex entries"),
+            _arg(
+                "--samples",
+                type=int,
+                default=100,
+                help="extremality samples per instance",
+            ),
+            _arg("--checks", default=None, help="comma-separated check names"),
+            _arg("--tol", type=float, default=1e-9, help="angle tolerance"),
+        ],
+    ),
+    "checks": (_cmd_checks, "list available fuzz checks", []),
+}
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The command-line parser.  When ``argv`` starts with a subcommand, the
+    parser holds only that one: no other subparser can take part in the
+    parse, so usage errors, help and exit codes are those of the full
+    parser, which ``-h``, an empty or an unknown command gets."""
     parser = _Parser(
         prog="relcalc",
         description=(
@@ -241,86 +337,24 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, help_text):
+    names = list(_SUBCOMMANDS)
+    if argv and argv[0] in _SUBCOMMANDS:
+        names = [argv[0]]
+    for name in names:
+        fn, help_text, arguments = _SUBCOMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(fn=fn)
         p.add_argument("-o", "--output", default=None, help="write to FILE")
-        return p
-
-    p = add("classify", _cmd_classify, "classification flags of a relation")
-    p.add_argument("relation")
-
-    p = add("parts", _cmd_parts, "dom/ran/ker/mul of a relation")
-    p.add_argument("relation")
-
-    # Subcommand "hat-sum" runs LinearRelation.hat_sum, and so on.
-    for name, help_text in (
-        ("compose", "product LEFT o RIGHT (RIGHT acts first)"),
-        ("hat-sum", "graph sum of two relations"),
-        ("meet", "graph intersection of two relations"),
-        ("plus", "pointwise sum of two relations"),
-    ):
-        p = add(name, _cmd_binary, help_text)
-        p.set_defaults(method=name.replace("-", "_"))
-        p.add_argument("left")
-        p.add_argument("right")
-
-    for name, help_text in (
-        ("adjoint", "adjoint relation"),
-        ("inverse", "inverse relation"),
-        ("one-minus", "I - T of a square relation"),
-    ):
-        p = add(name, _cmd_unary, help_text)
-        p.set_defaults(method=name.replace("-", "_"))
-        p.add_argument("relation")
-
-    p = add("build", _cmd_build, "canonical idempotent constructions")
-    p.add_argument("form", choices=("pmn", "pmns", "min", "max"))
-    p.add_argument("spaces", nargs="+", help="subspace document files")
-
-    p = add("triple", _cmd_triple, "kernel or range triple of an idempotent")
-    p.add_argument("relation")
-    p.add_argument("--kind", choices=("kernel", "range"), default="kernel")
-
-    p = add("convert-triple", _cmd_convert_triple, "switch triple flavors")
-    p.add_argument("triple")
-
-    p = add("ic", _cmd_ic, "test the idempotency condition on three subspaces")
-    p.add_argument("m")
-    p.add_argument("n")
-    p.add_argument("s")
-
-    p = add("angles", _cmd_angles, "Dixmier and Friedrichs cosines")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.add_argument("--tol", type=float, default=1e-9)
-
-    p = add("fuzz", _cmd_fuzz, "run the randomized identity suite")
-    p.add_argument("--dim", type=int, default=4, help="ambient dimension (max 8)")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help=f"default: ${DEFAULT_SEED_ENV} or 0",
-    )
-    p.add_argument("--max-entry", type=int, default=5)
-    p.add_argument("--real", action="store_true", help="disable complex entries")
-    p.add_argument(
-        "--samples", type=int, default=100, help="extremality samples per instance"
-    )
-    p.add_argument("--checks", default=None, help="comma-separated check names")
-    p.add_argument("--tol", type=float, default=1e-9, help="angle tolerance")
-
-    add("checks", _cmd_checks, "list available fuzz checks")
-
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
     return parser
 
 
 def main(argv=None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
         return args.fn(args)
     except RelcalcError as exc:
         sys.stderr.write(json.dumps(exc.record(), sort_keys=True) + "\n")

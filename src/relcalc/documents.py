@@ -5,17 +5,23 @@ report) and "version" fields plus the kind-specific body.  All exact values
 travel as scalar strings ("1/2-3/4i"); floats appear only inside angle and
 report payloads.  Serialization is canonical (sorted keys, fixed separators,
 trailing newline) so equal values produce identical bytes.
+
+Scalar strings go straight to and from the integer rows ``(den, re, im)`` of
+:mod:`relcalc._rowops`: this module holds the one scalar grammar and the one
+formatter, and :mod:`relcalc.scalars` builds its public parse and format on
+them.
 """
 
 from __future__ import annotations
 
 import json
+import re
+import sys
+from math import gcd, lcm
 from typing import NamedTuple
 
 from .errors import DimensionError, ParseError
-from .idempotents import IdempotentTriple, RangeTriple
 from .relations import LinearRelation
-from .scalars import format_scalar, parse_scalar
 from .subspaces import Subspace
 
 FORMAT_VERSION = "1"
@@ -28,6 +34,14 @@ KINDS = ("subspace", "relation", "triple", "report")
 # ambient-sized basis).
 MAX_DOCUMENT_DIM = 256
 
+# "p", "p/q", "p/q+r/si", or a pure imaginary "r/si"; ASCII digits only.
+_SCALAR_RE = re.compile(
+    r"(?P<re>[+-]?\d+)(?:/(?P<re_den>\d+))?"
+    r"(?:(?P<im>[+-]\d+)(?:/(?P<im_den>\d+))?i)?"
+    r"|(?P<pure>[+-]?\d+)(?:/(?P<pure_den>\d+))?i",
+    re.ASCII,
+)
+
 
 class DocumentEnvelope(NamedTuple):
     """A document's kind and value.  ``FORMAT_VERSION`` is the one accepted
@@ -37,33 +51,101 @@ class DocumentEnvelope(NamedTuple):
     payload: object
 
 
+# -- scalar text ----------------------------------------------------------------
+
+
+def _ratio(num: str, den: str | None) -> tuple[int, int]:
+    """``(int(num), int(den))``, converted in that order; a zero ``den``
+    raises ZeroDivisionError."""
+    n, d = int(num), 1 if den is None else int(den)
+    if not d:
+        raise ZeroDivisionError
+    return n, d
+
+
+def parse_entry(text) -> tuple[int, int, int, int]:
+    """The scalar string p/q + (r/s)i as ``(p, q, r, s)``: q and s positive,
+    the fractions not reduced.
+
+    Raises :class:`ParseError` on floats, zero denominators, integers too
+    long to convert, or anything else that is not an exact scalar literal.
+    """
+    if not isinstance(text, str):
+        raise ParseError(f"scalar must be a string, got {type(text).__name__}")
+    m = _SCALAR_RE.fullmatch(text.strip())
+    if m is None:
+        raise ParseError(f"malformed scalar {text!r}")
+    try:
+        if m["pure"] is not None:
+            return (0, 1, *_ratio(m["pure"], m["pure_den"]))
+        p, q = _ratio(m["re"], m["re_den"])
+        r, s = (0, 1) if m["im"] is None else _ratio(m["im"], m["im_den"])
+    except ZeroDivisionError:
+        raise ParseError(f"zero denominator in scalar {text!r}") from None
+    except ValueError as exc:
+        # int() refuses literals past the interpreter's digit limit.
+        raise ParseError(f"scalar literal out of range: {exc}") from None
+    return p, q, r, s
+
+
+def _format_ratio(num: int, den: int) -> str:
+    g = gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
+def format_entry(p: int, q: int, r: int = 0, s: int = 1) -> str:
+    """Canonical text of p/q + (r/s)i for positive q and s, each fraction
+    reduced by one gcd; :func:`parse_entry` reads it back."""
+    try:
+        text = _format_ratio(p, q)
+        if r:
+            text += ("+" if r > 0 else "-") + _format_ratio(abs(r), s) + "i"
+        return text
+    except ValueError:
+        # Past the interpreter's int->str digit limit.  Exact results of
+        # small inputs can be that long, and they are printed in full.
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return format_entry(p, q, r, s)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+
+def format_row(row) -> list[str]:
+    """The scalar strings of one integer row ``(den, re, im)``."""
+    den, re_, im = row
+    if im is None:
+        return [format_entry(x, den) for x in re_]
+    return [format_entry(x, den, y, den) for x, y in zip(re_, im)]
+
+
+def _int_row(entries) -> tuple:
+    """One integer row of parsed entries, over one lcm of their denominators."""
+    den = lcm(*(q for _, q, _, _ in entries), *(s for _, _, _, s in entries))
+    re_ = tuple(p * (den // q) for p, q, _, _ in entries)
+    im = tuple(r * (den // s) for _, _, r, s in entries)
+    return (den, re_, im if any(im) else None)
+
+
 # -- payload builders ---------------------------------------------------------
 
 
-def vector_payload(vec) -> list[str]:
-    return [format_scalar(z) for z in vec]
-
-
 def subspace_payload(s: Subspace) -> dict:
-    return {
-        "ambient": s.ambient_dim,
-        "basis": [vector_payload(v) for v in s.basis_vectors()],
-    }
+    return {"ambient": s.ambient_dim, "basis": [format_row(r) for r in s._rows]}
 
 
 def relation_payload(t: LinearRelation) -> dict:
     n = t.dim_in
+    rows = [format_row(r) for r in t.graph._rows]
     return {
         "dim_in": t.dim_in,
         "dim_out": t.dim_out,
-        "generators": [
-            [vector_payload(v[:n]), vector_payload(v[n:])]
-            for v in t.graph.basis_vectors()
-        ],
+        "generators": [[v[:n], v[n:]] for v in rows],
     }
 
 
-def triple_payload(t: IdempotentTriple | RangeTriple) -> dict:
+def triple_payload(t) -> dict:
     """Ambient plus one subspace body per component (m/n/s or x/y/z); the
     components share the ambient, which the triple's condition checks."""
     body = {k: subspace_payload(v) for k, v in zip(t._fields, t)}
@@ -76,10 +158,12 @@ def wrap(obj) -> DocumentEnvelope:
         return DocumentEnvelope("subspace", obj)
     if isinstance(obj, LinearRelation):
         return DocumentEnvelope("relation", obj)
-    if isinstance(obj, (IdempotentTriple, RangeTriple)):
-        return DocumentEnvelope("triple", obj)
     if isinstance(obj, dict):
         return DocumentEnvelope("report", obj)
+    from .idempotents import IdempotentTriple, RangeTriple
+
+    if isinstance(obj, (IdempotentTriple, RangeTriple)):
+        return DocumentEnvelope("triple", obj)
     raise ParseError(f"cannot wrap {type(obj).__name__} in a document")
 
 
@@ -105,19 +189,17 @@ def serialize_document(env: DocumentEnvelope) -> str:
 # -- parsing -------------------------------------------------------------------
 
 
-def _parse_scalar_at(text, where: str):
-    try:
-        return parse_scalar(text)
-    except ParseError as exc:
-        raise ParseError(f"{exc.message} at {where}", field=where) from None
-
-
-def _parse_vector(data, length: int | None, where: str):
+def _parse_vector(data, length: int | None, where: str) -> list:
+    """The parsed entries of one vector, as :func:`parse_entry` gives them."""
     if not isinstance(data, list):
         raise ParseError(f"expected a vector at {where}", field=where)
-    vec = [
-        _parse_scalar_at(entry, f"{where}[{k}]") for k, entry in enumerate(data)
-    ]
+    vec = []
+    for k, entry in enumerate(data):
+        try:
+            vec.append(parse_entry(entry))
+        except ParseError as exc:
+            at = f"{where}[{k}]"
+            raise ParseError(f"{exc.message} at {at}", field=at) from None
     if length is not None and len(vec) != length:
         raise DimensionError(
             f"vector at {where} has length {len(vec)}, expected {length}",
@@ -147,10 +229,11 @@ def parse_subspace_body(doc: dict, where: str = "$") -> Subspace:
     basis = doc.get("basis")
     if not isinstance(basis, list):
         raise ParseError(f"field 'basis' at {where} must be a list", field=where)
-    vectors = [
-        _parse_vector(v, ambient, f"{where}.basis[{i}]") for i, v in enumerate(basis)
+    rows = [
+        _int_row(_parse_vector(v, ambient, f"{where}.basis[{i}]"))
+        for i, v in enumerate(basis)
     ]
-    return Subspace.span(vectors, ambient)
+    return Subspace.from_int_rows(rows, ambient)
 
 
 def parse_relation_body(doc: dict, where: str = "$") -> LinearRelation:
@@ -161,7 +244,7 @@ def parse_relation_body(doc: dict, where: str = "$") -> LinearRelation:
         raise ParseError(
             f"field 'generators' at {where} must be a list", field=where
         )
-    pairs = []
+    rows = []
     for i, pair in enumerate(gens):
         if not isinstance(pair, list) or len(pair) != 2:
             raise ParseError(
@@ -169,16 +252,16 @@ def parse_relation_body(doc: dict, where: str = "$") -> LinearRelation:
                 "[input, output] pair",
                 field=f"{where}.generators[{i}]",
             )
-        pairs.append(
-            (
-                _parse_vector(pair[0], dim_in, f"{where}.generators[{i}][0]"),
-                _parse_vector(pair[1], dim_out, f"{where}.generators[{i}][1]"),
-            )
-        )
-    return LinearRelation.from_generators(pairs, dim_in, dim_out)
+        x = _parse_vector(pair[0], dim_in, f"{where}.generators[{i}][0]")
+        y = _parse_vector(pair[1], dim_out, f"{where}.generators[{i}][1]")
+        rows.append(_int_row(x + y))
+    graph = Subspace.from_int_rows(rows, dim_in + dim_out)
+    return LinearRelation(dim_in, dim_out, graph)
 
 
 def parse_triple_body(doc: dict, where: str = "$"):
+    from .idempotents import IdempotentTriple, RangeTriple
+
     ambient = _require_count(doc, "ambient", where)
     for triple in (IdempotentTriple, RangeTriple):
         if all(k in doc for k in triple._fields):
@@ -207,9 +290,20 @@ def parse_triple_body(doc: dict, where: str = "$"):
     return triple(*spaces)
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object's dict; a key that occurs twice is a parse error, not a
+    silent choice of its last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ParseError(f"duplicate key {key!r} in document", key=key)
+        obj[key] = value
+    return obj
+
+
 def parse_document(text: str) -> DocumentEnvelope:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"invalid document text: {exc.msg}",

@@ -27,7 +27,6 @@ from .errors import (
     InternalCheckError,
     NotIdempotentError,
 )
-from .matrices import ints_to_row
 from .relations import LinearRelation
 from .subspaces import Subspace, memoized
 
@@ -206,9 +205,15 @@ class Classification(NamedTuple):
     is_projection: bool
     witnesses: dict
 
+    def __hash__(self):
+        # Equal dicts may list their items in different orders.
+        return hash((self[:-1], frozenset(self.witnesses.items())))
+
 
 def _graph_witness(bigger: LinearRelation, smaller: LinearRelation):
     """A generator pair present in ``bigger`` but not in ``smaller``."""
+    from .matrices import ints_to_row
+
     n = bigger.dim_in
     for row in bigger.graph._rows:
         if not smaller.graph.contains_vector(row):

@@ -17,7 +17,6 @@ from typing import NamedTuple
 
 from . import _rowops
 from .errors import DimensionError
-from .matrices import row_to_ints
 from .subspaces import Subspace, _read_off, involution, memo, memoized
 
 
@@ -89,6 +88,8 @@ class LinearRelation:
     @classmethod
     def from_generators(cls, pairs, dim_in: int, dim_out: int) -> "LinearRelation":
         """Relation spanned by (input, output) vector pairs."""
+        from .matrices import row_to_ints
+
         rows = []
         for x, y in pairs:
             x, y = tuple(x), tuple(y)

@@ -2,20 +2,16 @@
 
 The text form is "p/q" for real values and sign-aware "p/q+r/si" in general
 ("1/2-3/4i", "0+1i"); plain integers mean p/1.  Parsing never goes through
-floats.
+floats.  The grammar and the formatter are the integer-level ones of
+:mod:`relcalc.documents`, which documents use without building scalars.
 """
 
 from __future__ import annotations
 
-import re as _re
-import sys
 from fractions import Fraction
 
+from .documents import format_entry, parse_entry
 from .errors import ParseError, PreconditionError
-
-_RAT = r"[+-]?\d+(?:/\d+)?"
-_GENERAL_RE = _re.compile(rf"^(?P<re>{_RAT})(?:(?P<im>[+-]\d+(?:/\d+)?)i)?$")
-_IMAGINARY_RE = _re.compile(rf"^(?P<im>{_RAT})i$")
 
 
 class GaussianRational:
@@ -132,26 +128,10 @@ def as_scalar(value) -> GaussianRational:
     return got
 
 
-def _format_rational(q: Fraction) -> str:
-    try:
-        return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-    except ValueError:
-        # Past the interpreter's int->str digit limit.  Exact results of
-        # small inputs can be that long, and they are printed in full.
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-        try:
-            return _format_rational(q)
-        finally:
-            sys.set_int_max_str_digits(limit)
-
-
 def format_scalar(z: GaussianRational) -> str:
     """Canonical text form; ``parse_scalar`` inverts it exactly."""
-    out = _format_rational(z.re)
-    if z.im:
-        out += ("+" if z.im > 0 else "-") + _format_rational(abs(z.im)) + "i"
-    return out
+    re, im = z.re, z.im
+    return format_entry(re.numerator, re.denominator, im.numerator, im.denominator)
 
 
 def parse_scalar(text: str) -> GaussianRational:
@@ -160,28 +140,5 @@ def parse_scalar(text: str) -> GaussianRational:
     Raises :class:`ParseError` on floats, zero denominators, integers too
     long to convert, or anything else that is not an exact scalar literal.
     """
-    if not isinstance(text, str):
-        raise ParseError(f"scalar must be a string, got {type(text).__name__}")
-    stripped = text.strip()
-    try:
-        m = _GENERAL_RE.match(stripped)
-        if m:
-            re_part = _parse_rational(m.group("re"))
-            im_part = _parse_rational(m.group("im")) if m.group("im") else Fraction(0)
-            return GaussianRational(re_part, im_part)
-        m = _IMAGINARY_RE.match(stripped)
-        if m:
-            return GaussianRational(0, _parse_rational(m.group("im")))
-    except ZeroDivisionError:
-        raise ParseError(f"zero denominator in scalar {text!r}") from None
-    except ValueError as exc:
-        # int() refuses literals past the interpreter's digit limit.
-        raise ParseError(f"scalar literal out of range: {exc}") from None
-    raise ParseError(f"malformed scalar {text!r}")
-
-
-def _parse_rational(text: str) -> Fraction:
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+    p, q, r, s = parse_entry(text)
+    return GaussianRational(Fraction(p, q), Fraction(r, s))

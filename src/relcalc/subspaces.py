@@ -12,7 +12,6 @@ import functools
 
 from . import _rowops
 from .errors import DimensionError
-from .matrices import ints_to_row, row_to_ints
 
 # The one cache of the value layer.  It interns subspaces and relations (one
 # object per value while the entry lasts) and holds the results of the
@@ -100,6 +99,10 @@ class Subspace:
     @classmethod
     def span(cls, vectors, ambient_dim: int) -> "Subspace":
         """Span of exact vectors; the empty list gives the zero subspace."""
+        # Scalar rows load Fraction; documents and the verifier build from
+        # integer rows and never need it.
+        from .matrices import row_to_ints
+
         int_rows = []
         for v in vectors:
             v = tuple(v)
@@ -133,6 +136,8 @@ class Subspace:
         return not self._rows
 
     def basis_vectors(self):
+        from .matrices import ints_to_row
+
         return [ints_to_row(row) for row in self._rows]
 
     def key(self):

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from relcalc import Subspace, semi_projection
+from relcalc import Subspace, cli, semi_projection
 from relcalc.cli import main
 from relcalc.documents import parse_document
 
@@ -364,3 +364,67 @@ def test_checks_listing(capsys):
     assert code == 0
     listing = json.loads(out)
     assert "idempotent_adjoint_triple" in listing
+
+
+def test_duplicate_keys_are_a_parse_error(tmp_path, capsys):
+    # Two "ambient" keys, 2 then 3: no silent choice of the last one.
+    dup = tmp_path / "dup.sub"
+    dup.write_text(
+        '{"kind": "subspace", "version": "1", "ambient": 2, "ambient": 3, '
+        '"basis": []}'
+    )
+    nested = tmp_path / "nested.json"
+    nested.write_text(
+        '{"kind": "triple", "version": "1", "ambient": 1, '
+        '"m": {"ambient": 1, "basis": [], "basis": [["1"]]}, '
+        '"n": {"ambient": 1, "basis": []}, "s": {"ambient": 1, "basis": []}}'
+    )
+    for argv, key in (
+        (["inverse", str(dup)], "ambient"),
+        (["convert-triple", str(nested)], "basis"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        record = json.loads(err)
+        assert record["code"] == 2
+        assert repr(key) in record["message"]
+        assert record["context"] == {"key": key}
+
+
+def test_non_ascii_digits_are_a_parse_error(tmp_path, capsys):
+    path = write(
+        tmp_path / "arabic.sub",
+        {"kind": "subspace", "version": "1", "ambient": 2, "basis": [["١", "0"]]},
+    )
+    code, out, err = run(capsys, "parts", path)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "code": 2,
+        "message": "malformed scalar '١' at $.basis[0][0]",
+        "context": {"field": "$.basis[0][0]"},
+    }
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # --help
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_one_subcommand_parser_answers_as_the_full_parser(capsys, monkeypatch):
+    """``main`` builds only the named subcommand's parser; its help, usage
+    errors and exit codes are those of the parser with every subcommand."""
+    full = cli.build_parser()
+    names = list(full._subparsers._group_actions[0].choices)
+    assert names == list(cli._SUBCOMMANDS)
+    cases = [[name, "--help"] for name in names]
+    cases += [[name, "--no-such-option"] for name in names]
+    one = [_outcome(capsys, argv) for argv in cases]
+    assert all(len(cli.build_parser(argv)._subparsers._group_actions[0].choices) == 1
+               for argv in cases)
+    monkeypatch.setattr(cli, "build_parser", lambda argv=None: full)
+    assert [_outcome(capsys, argv) for argv in cases] == one
+    assert [code for code, _, _ in one] == [0] * len(names) + [2] * len(names)

@@ -2,8 +2,11 @@
 
 import json
 import random
+import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from relcalc import (
     DimensionError,
@@ -17,12 +20,17 @@ from relcalc import (
 from relcalc.documents import (
     MAX_DOCUMENT_DIM,
     DocumentEnvelope,
+    _int_row,
     document_dict,
+    format_row,
     load_document,
     parse_document,
+    parse_entry,
     serialize_document,
     wrap,
 )
+from relcalc.matrices import ints_to_row, row_to_ints
+from relcalc.scalars import format_scalar, parse_scalar
 
 
 def e(k, n):
@@ -288,3 +296,109 @@ def test_document_dict_keys_are_sorted_stably():
     d1 = serialize_document(wrap(s))
     d2 = serialize_document(wrap(s))
     assert d1 == d2
+
+
+# -- the integer boundary against the GaussianRational route -------------------
+
+LIMIT = sys.get_int_max_str_digits()
+# Literals of a few digits, with zero, and literals at and past the limit.
+literals = st.one_of(
+    st.integers(0, 10**6).map(str),
+    st.sampled_from(["0", "1", "9" * LIMIT, "1" + "0" * LIMIT]),
+)
+
+
+@st.composite
+def scalar_texts(draw):
+    """Scalar strings with signs, unreduced and zero denominators, and real,
+    complex and pure imaginary forms, padded with whitespace at times."""
+
+    def ratio(signs):
+        text = draw(st.sampled_from(signs)) + draw(literals)
+        if draw(st.booleans()):
+            text += "/" + draw(literals)
+        return text
+
+    form = draw(st.sampled_from(["real", "complex", "imaginary"]))
+    text = ratio(["", "+", "-"])
+    if form == "complex":
+        text += ratio(["+", "-"]) + "i"
+    elif form == "imaginary":
+        text += "i"
+    return draw(st.sampled_from(["", " "])) + text
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except ParseError as exc:
+        return exc.message
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(scalar_texts(), min_size=1, max_size=4))
+@example(["0/0"])
+@example(["1/0"])
+@example(["-6/4", "+3/9-10/4i", "-5/15i", "0/7"])
+@example(["9" * LIMIT, "1/" + "9" * LIMIT])
+@example(["1" + "0" * LIMIT])
+def test_integer_parse_matches_the_scalar_route(texts):
+    """A row parsed straight to integers denotes the scalars that
+    ``parse_scalar`` gives, and fails with the same message where it fails."""
+
+    def integer_route():
+        return ints_to_row(_int_row([parse_entry(t) for t in texts]))
+
+    def scalar_route():
+        return ints_to_row(row_to_ints([parse_scalar(t) for t in texts]))
+
+    assert _outcome(integer_route) == _outcome(scalar_route)
+
+
+def _reference_text(z):
+    """The text the Fraction-based formatter printed, the limit lifted."""
+    text = str(z.re)
+    if z.im:
+        text += ("+" if z.im > 0 else "-") + str(abs(z.im)) + "i"
+    return text
+
+
+entries = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.integers(-10**6, 10**6).map(lambda x: x * 10**LIMIT + 1),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 10**6),
+    st.lists(st.tuples(entries, entries), min_size=1, max_size=4),
+    st.booleans(),
+)
+def test_integer_print_matches_the_scalar_route(den, pairs, real):
+    """Printing an integer row gives the text of ``format_scalar`` on the
+    scalars it denotes and of the Fraction-based formatter, past the digit
+    limit too, and leaves the limit as it found it."""
+    row = (
+        den,
+        tuple(x for x, _ in pairs),
+        None if real else tuple(y for _, y in pairs),
+    )
+    printed = format_row(row)
+    assert sys.get_int_max_str_digits() == LIMIT
+    scalars = ints_to_row(row)
+    assert printed == [format_scalar(z) for z in scalars]
+    sys.set_int_max_str_digits(0)
+    try:
+        assert printed == [_reference_text(z) for z in scalars]
+    finally:
+        sys.set_int_max_str_digits(LIMIT)
+
+
+@pytest.mark.parametrize("text", ["١", "1/٢", "٣i", "1+٤i", "１"])
+def test_non_ascii_digits_are_a_parse_error(text):
+    doc = _subspace_doc(1)
+    doc["basis"] = [[text]]
+    with pytest.raises(ParseError) as err:
+        parse_document(json.dumps(doc))
+    assert err.value.context == {"field": "$.basis[0][0]"}

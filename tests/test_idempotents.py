@@ -262,10 +262,20 @@ def test_values_survive_copy_and_pickle(monkeypatch):
         ):
             assert type(back) is type(value)
             assert back == value and not back != value
-            if type(value) is not Classification:  # its witnesses are a dict
-                assert hash(back) == hash(value)
+            assert hash(back) == hash(value)
             if isinstance(value, (Subspace, LinearRelation)):
                 assert back is value  # interned
+
+
+def test_classification_hashes_by_value():
+    # Equal records whose witness dicts list their keys in other orders.
+    cls = classify(super_form(line(0, 2), span([[1, 1]], 2), line(1, 2)))
+    pair = cls.witnesses["square_not_below"]
+    a = cls._replace(witnesses={"square_not_below": pair, "other": None})
+    b = cls._replace(witnesses={"other": None, "square_not_below": pair})
+    assert isinstance(a, Classification) and list(a.witnesses) != list(b.witnesses)
+    assert a == b and hash(a) == hash(b)
+    assert len({cls, a, b, cls._replace(is_sub=not cls.is_sub)}) == 3
 
 
 def test_kernel_triple_requires_idempotent():

@@ -81,7 +81,10 @@ def test_parse_forms(text, re_part, im_part):
 
 
 @pytest.mark.parametrize(
-    "bad", ["", "1.5", "1/0", "i", "1+i", "2+3", "1/2+3/4", "x", "1e3", "1/2 i"]
+    "bad",
+    ["", "1.5", "1/0", "i", "1+i", "2+3", "1/2+3/4", "x", "1e3", "1/2 i"]
+    # Decimal digits outside ASCII, which int() would read.
+    + ["١", "1/٢", "٣i", "1+٤i", "１"],
 )
 def test_parse_rejects(bad):
     with pytest.raises(ParseError):

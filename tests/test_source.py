@@ -1,6 +1,7 @@
 """Source hygiene: the package uses every module-level import and calls every
-public method, no subcommand loads numpy, only ``fuzz`` and ``checks`` load
-the verifier, and the value layer's memo is the package's only cache."""
+public method, each subcommand loads only the modules it runs (no numpy, the
+verifier only for ``fuzz`` and ``checks``), and the value layer's memo is the
+package's only cache."""
 
 import ast
 import json
@@ -8,6 +9,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import relcalc
 
@@ -49,6 +52,10 @@ def test_no_unused_module_imports():
 # Public methods the package itself never calls, with the reason each stays.
 UNCALLED_METHODS = {
     "LinearRelation.identity": "constructor for tests and library users",
+    "LinearRelation.from_generators": (
+        "scalar-pair constructor for tests and library users; documents "
+        "build relations from integer rows"
+    ),
 }
 
 
@@ -126,20 +133,81 @@ def test_second_cache_detector(tmp_path):
     ]
 
 
-# Runs in a fresh interpreter; prints which heavy modules each step loaded,
-# counting only modules that were not loaded before ``import relcalc``.
+def test_every_public_name_resolves():
+    """The package loads its modules on first use of a public name; every
+    name in ``__all__`` resolves to the object its module defines."""
+    for name in relcalc.__all__:
+        value = getattr(relcalc, name)
+        assert getattr(sys.modules[value.__module__], name) is value
+    with pytest.raises(AttributeError):
+        relcalc.no_such_name  # noqa: B018
+
+
+# Modules that ``cli.py`` and ``documents.py`` may import only inside the
+# functions that use them: each is off the path of some subcommand, and
+# ``matrices`` and ``scalars`` load ``fractions`` and ``decimal``.
+DEFERRED_MODULES = {"idempotents", "angles", "matrices", "scalars"}
+
+
+def module_level_imports(path):
+    """``file:line module`` for each relcalc module in ``DEFERRED_MODULES``
+    that ``path`` imports at module level."""
+    found = []
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Import):
+            modules = [a.name.removeprefix("relcalc.") for a in node.names
+                       if a.name.startswith("relcalc.")]
+        elif isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").partition(".")[0] == "relcalc"
+        ):
+            module = (node.module or "").removeprefix("relcalc").lstrip(".")
+            modules = [module] if module else [a.name for a in node.names]
+        else:
+            continue
+        found += [f"{path.name}:{node.lineno} {m}" for m in modules
+                  if m.partition(".")[0] in DEFERRED_MODULES]
+    return found
+
+
+def test_cli_and_documents_defer_their_heavy_imports():
+    paths = [PACKAGE / "cli.py", PACKAGE / "documents.py"]
+    assert [hit for path in paths for hit in module_level_imports(path)] == []
+
+
+def test_module_level_import_detector(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "from . import angles, documents\nfrom .idempotents import classify\n"
+        "import relcalc.matrices\nfrom relcalc import scalars\n"
+        "from .subspaces import Subspace\nimport json\n"
+        "def f():\n    from . import idempotents\n"
+    )
+    assert module_level_imports(bad) == [
+        "bad.py:1 angles",
+        "bad.py:2 idempotents",
+        "bad.py:3 matrices",
+        "bad.py:4 scalars",
+    ]
+
+
+# Runs in a fresh interpreter; prints which heavy modules each step loaded
+# first, counting only modules that were not loaded before ``import relcalc``.
 COLD_PATH_SCRIPT = """
 import json
 import sys
 
-HEAVY = ("numpy", "dataclasses", "inspect", "relcalc.verifier", "relcalc.checks")
-rel, sub, out, listing = sys.argv[1:]
+HEAVY = (
+    "numpy", "dataclasses", "inspect", "fractions", "decimal",
+    "relcalc.idempotents", "relcalc.angles", "relcalc.verifier", "relcalc.checks",
+)
+rel, witness_rel, sub, out, listing = sys.argv[1:]
 stages = {}
-preloaded = set(sys.modules)
+seen = set(sys.modules)
 
 
 def record(stage):
-    stages[stage] = [n for n in HEAVY if n in sys.modules and n not in preloaded]
+    stages[stage] = [n for n in HEAVY if n in sys.modules and n not in seen]
+    seen.update(sys.modules)
 
 
 import relcalc
@@ -148,12 +216,16 @@ record("import relcalc")
 from relcalc.cli import main
 
 record("import relcalc.cli")
-assert main(["classify", rel, "-o", out]) == 0
-record("classify")
 assert main(["parts", rel, "-o", out]) == 0
 record("parts")
 assert main(["angles", sub, sub, "-o", out]) == 0
 record("angles")
+assert main(["classify", rel, "-o", out]) == 0
+assert json.load(open(out))["witnesses"] == {}
+record("classify")
+assert main(["classify", witness_rel, "-o", out]) == 0
+assert json.load(open(out))["witnesses"]["not_below_square"] is not None
+record("classify with a witness")
 assert main(["checks", "-o", listing]) == 0
 record("checks")
 print(json.dumps(stages))
@@ -161,21 +233,31 @@ print(json.dumps(stages))
 
 
 def test_cold_path_imports(tmp_path):
-    """No subcommand loads numpy, ``angles`` included; only ``checks`` (and
-    ``fuzz``) load the fuzz verifier, on first use, and with it
-    ``dataclasses`` and ``inspect``, which no other subcommand loads."""
-    rel = tmp_path / "e.rel"
-    rel.write_text(
-        json.dumps(
-            {
-                "kind": "relation",
-                "version": "1",
-                "dim_in": 2,
-                "dim_out": 2,
-                "generators": [[["1", "0"], ["1", "0"]], [["0", "1"], ["0", "0"]]],
-            }
+    """No subcommand loads numpy, ``angles`` included. ``parts`` loads none
+    of the heavy modules, ``angles`` only ``relcalc.angles``, and
+    ``classify`` only ``relcalc.idempotents``, plus ``fractions`` (and with
+    it ``decimal``) when it prints a witness. Only ``checks`` (and ``fuzz``)
+    load the fuzz verifier, on first use, and with it ``dataclasses`` and
+    ``inspect``, which no other subcommand loads."""
+
+    def relation(path, generators):
+        path.write_text(
+            json.dumps(
+                {
+                    "kind": "relation",
+                    "version": "1",
+                    "dim_in": 2,
+                    "dim_out": 2,
+                    "generators": generators,
+                }
+            )
         )
-    )
+        return path
+
+    # A projection, which has no witness, and a strictly sub-idempotent
+    # relation (E o E = 0 < E), which has one.
+    rel = relation(tmp_path / "e.rel", [[["1", "0"], ["1", "0"]], [["0", "1"], ["0", "0"]]])
+    witness_rel = relation(tmp_path / "w.rel", [[["1", "0"], ["0", "1"]]])
     sub = tmp_path / "s.sub"
     sub.write_text(
         json.dumps(
@@ -183,7 +265,7 @@ def test_cold_path_imports(tmp_path):
         )
     )
     listing = tmp_path / "checks.json"
-    argv = [rel, sub, tmp_path / "out.json", listing]
+    argv = [rel, witness_rel, sub, tmp_path / "out.json", listing]
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     done = subprocess.run(
         [sys.executable, "-c", COLD_PATH_SCRIPT, *map(str, argv)],
@@ -202,9 +284,10 @@ def test_cold_path_imports(tmp_path):
     assert stages == {
         "import relcalc": [],
         "import relcalc.cli": [],
-        "classify": [],
         "parts": [],
-        "angles": [],
+        "angles": ["relcalc.angles"],
+        "classify": ["relcalc.idempotents"],
+        "classify with a witness": ["fractions", "decimal"],
         "checks": ["relcalc.verifier", "relcalc.checks"],
     }
     assert len(json.loads(listing.read_text())) == 44
