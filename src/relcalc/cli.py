@@ -198,8 +198,8 @@ def _cmd_fuzz(args) -> int:
     else:
         text = os.environ.get(DEFAULT_SEED_ENV, "0")
         try:
-            seed = int(text)
-        except ValueError:
+            seed = _integer(text)
+        except argparse.ArgumentTypeError:
             raise ParseError(
                 f"${DEFAULT_SEED_ENV} must be an integer, got {text!r}",
                 variable=DEFAULT_SEED_ENV,
@@ -252,6 +252,20 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(f"{self.prog}: {message}")
 
 
+def _integer(text: str) -> int:
+    """An integer option or ``$RELCALC_SEED``, by the rule of scalar strings:
+    surrounding whitespace, an optional sign and ASCII digits.  ``int()``
+    alone would also read non-ASCII digits and ``_`` separators."""
+    body = text.strip()
+    digits = body[1:] if body[:1] in ("+", "-") else body
+    if digits.isascii() and digits.isdigit():
+        try:
+            return int(body)
+        except ValueError:  # past the interpreter's digit limit
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _arg(*flags, **options):
     """One ``add_argument`` call, kept until its subparser is built."""
     return flags, options
@@ -299,19 +313,19 @@ _SUBCOMMANDS = {
         _cmd_fuzz,
         "run the randomized identity suite",
         [
-            _arg("--dim", type=int, default=4, help="ambient dimension (max 8)"),
-            _arg("--trials", type=int, default=100),
+            _arg("--dim", type=_integer, default=4, help="ambient dimension (max 8)"),
+            _arg("--trials", type=_integer, default=100),
             _arg(
                 "--seed",
-                type=int,
+                type=_integer,
                 default=None,
                 help=f"default: ${DEFAULT_SEED_ENV} or 0",
             ),
-            _arg("--max-entry", type=int, default=5),
+            _arg("--max-entry", type=_integer, default=5),
             _arg("--real", action="store_true", help="disable complex entries"),
             _arg(
                 "--samples",
-                type=int,
+                type=_integer,
                 default=100,
                 help="extremality samples per instance",
             ),

@@ -19,8 +19,11 @@ from .errors import DimensionError
 # strong and the dict is emptied when it reaches the bound, so memory is
 # bounded and the work a run does depends only on the calls it makes.  An
 # evicted value stays correct: equality and hashing are by value, and a
-# re-created copy recomputes what it needs.
-MEMO_BOUND = 8192
+# re-created copy recomputes what it needs.  A fuzz trial builds fresh
+# random values, so the working set is one trial's: the bound is the
+# smallest power of two whose rref work stays within 1.5 % of an 8,192-entry
+# memo's on the fuzz workloads (README, "Library example").
+MEMO_BOUND = 2048
 _memo: dict = {}
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable
 
@@ -350,6 +351,9 @@ def verify_suite(
     unknown = [n for n in selected if n not in CHECKS]
     if unknown:
         raise PreconditionError(f"unknown checks: {', '.join(unknown)}")
+    repeated = [n for n, k in Counter(selected).items() if k > 1]
+    if repeated:
+        raise PreconditionError(f"repeated checks: {', '.join(repeated)}")
     results = []
     for name in selected:
         spec = CHECKS[name]

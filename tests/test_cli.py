@@ -405,6 +405,65 @@ def test_non_ascii_digits_are_a_parse_error(tmp_path, capsys):
     }
 
 
+INTEGER_OPTIONS = ["--dim", "--trials", "--seed", "--max-entry", "--samples"]
+
+
+@pytest.mark.parametrize("text", ["٤", "４", "1_0", " 1_0 ", "+-1", ""])
+@pytest.mark.parametrize("option", INTEGER_OPTIONS)
+def test_integer_options_take_ascii_digits_only(capsys, option, text):
+    # int() reads "٤" as 4 and "1_0" as 10; a CLI integer follows the rule
+    # of scalar strings instead.
+    argv = ["fuzz", "--trials", "1", "--checks", "subspace_demorgan", option, text]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "code": 2,
+        "message": f"relcalc fuzz: argument {option}: invalid int value: {text!r}",
+        "context": {},
+    }
+
+
+@pytest.mark.parametrize("text", ["٧", " 7_0 ", "7_0"])
+def test_seed_variable_takes_ascii_digits_only(capsys, monkeypatch, text):
+    monkeypatch.setenv("RELCALC_SEED", text)
+    argv = ["fuzz", "--dim", "2", "--trials", "1", "--checks", "subspace_demorgan"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "code": 2,
+        "message": f"$RELCALC_SEED must be an integer, got {text!r}",
+        "context": {"variable": "RELCALC_SEED"},
+    }
+
+
+def test_integer_options_allow_padding_and_a_sign(capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("RELCALC_SEED", " +7 ")
+    out = str(tmp_path / "r.json")
+    argv = ["fuzz", "--dim", " 2 ", "--trials", "+1", "--max-entry", "\t3\n"]
+    assert main([*argv, "--checks", "subspace_demorgan", "-o", out]) == 0
+    config = json.loads(open(out).read())["config"]
+    assert (config["seed"], config["ambient_dim"], config["trials"]) == (7, 2, 1)
+    assert config["max_entry"] == 3
+    assert main(["fuzz", "--seed", "-3", "--dim", "2", "--trials", "1",
+                 "--checks", "subspace_demorgan", "-o", out]) == 0
+    assert json.loads(open(out).read())["config"]["seed"] == -3
+    capsys.readouterr()
+
+
+def test_fuzz_repeated_check(capsys):
+    # Like an unknown name: exit 4 before any trial, and the message names it.
+    code, out, err = run(
+        capsys, "fuzz", "--trials", "1", "--checks",
+        "subspace_demorgan,complement_membership,subspace_demorgan",
+    )
+    assert (code, out) == (4, "")
+    assert json.loads(err) == {
+        "code": 4,
+        "message": "repeated checks: subspace_demorgan",
+        "context": {},
+    }
+
+
 def _outcome(capsys, argv):
     try:
         code = main(list(argv))

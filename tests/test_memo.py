@@ -78,6 +78,23 @@ def test_work_does_not_depend_on_the_collector():
     assert quiet["report"] == collected["report"]
 
 
+def test_eviction_never_changes_an_answer(monkeypatch):
+    # A bound of 1 evicts on every store, so each cached value is rebuilt
+    # from scratch; the report bytes must not see the difference.
+    from relcalc import verifier
+    from relcalc.documents import serialize_document, wrap
+
+    cfg = verifier.GenConfig(ambient_dim=4, trials=3, seed=1)
+    reports = []
+    for bound in (1, 64, subspaces.MEMO_BOUND):
+        monkeypatch.setattr(subspaces, "MEMO_BOUND", bound)
+        subspaces._memo.clear()
+        report = verifier.verify_suite(cfg)
+        assert len(subspaces._memo) <= bound
+        reports.append(serialize_document(wrap(report.json_dict())))
+    assert reports[0] == reports[1] == reports[2]
+
+
 def test_pickles_hash_alike_in_another_process():
     # A real row's im is None, and hash(None) differs between processes, so
     # an unpickled value must hash from its rows and not carry a stored hash.
