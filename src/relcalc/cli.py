@@ -213,7 +213,7 @@ def _cmd_fuzz(args) -> int:
         extremality_samples=args.samples,
         tol=args.tol,
     )
-    names = args.checks.split(",") if args.checks else None
+    names = None if args.checks is None else args.checks.split(",")
     fresh = args.output is not None and not os.path.lexists(args.output)
     if args.output is not None:
         # Fail on an unwritable report path before the suite spends its time;

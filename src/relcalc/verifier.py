@@ -14,7 +14,6 @@ constructions the "true" sides.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from collections import Counter
 from dataclasses import asdict, dataclass, field
@@ -33,6 +32,14 @@ from .idempotents import (
 )
 from .relations import LinearRelation, _combine_rows
 from .subspaces import Subspace
+
+try:  # CPython's own SHA-256, which hashlib falls back to, without OpenSSL
+    from _sha2 import sha256  # 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 MAX_AMBIENT = 8
 
@@ -67,10 +74,16 @@ class GenConfig:
 
 
 def trial_rng(seed: int, check_name: str, index: int) -> random.Random:
-    """Independent deterministic stream per (seed, check, trial)."""
-    digest = hashlib.sha256(
-        f"{seed}:{check_name}:{index}".encode()
-    ).digest()
+    """Independent deterministic stream per (seed, check, trial).
+
+    The stream is seeded with the first 8 bytes, big-endian, of the SHA-256
+    of ``f"{seed}:{check_name}:{index}"`` in UTF-8, so any trial of a report
+    can be replayed alone. The digest comes from CPython's built-in SHA-256
+    module, the same digest ``hashlib`` gives, because importing ``hashlib``
+    loads OpenSSL's libcrypto, the largest part of a fuzz process's
+    resident memory that relcalc controls.
+    """
+    digest = sha256(f"{seed}:{check_name}:{index}".encode()).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
@@ -350,10 +363,14 @@ def verify_suite(
     selected = list(CHECKS) if names is None else list(names)
     unknown = [n for n in selected if n not in CHECKS]
     if unknown:
-        raise PreconditionError(f"unknown checks: {', '.join(unknown)}")
+        raise PreconditionError(
+            f"unknown checks: {', '.join(map(repr, unknown))}", checks=unknown
+        )
     repeated = [n for n, k in Counter(selected).items() if k > 1]
     if repeated:
-        raise PreconditionError(f"repeated checks: {', '.join(repeated)}")
+        raise PreconditionError(
+            f"repeated checks: {', '.join(map(repr, repeated))}", checks=repeated
+        )
     results = []
     for name in selected:
         spec = CHECKS[name]

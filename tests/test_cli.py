@@ -357,6 +357,11 @@ def test_fuzz_unknown_check(capsys):
         capsys, "fuzz", "--trials", "1", "--checks", "not_a_check"
     )
     assert code == 4
+    assert json.loads(err) == {
+        "code": 4,
+        "message": "unknown checks: 'not_a_check'",
+        "context": {"checks": ["not_a_check"]},
+    }
 
 
 def test_checks_listing(capsys):
@@ -459,8 +464,30 @@ def test_fuzz_repeated_check(capsys):
     assert (code, out) == (4, "")
     assert json.loads(err) == {
         "code": 4,
-        "message": "repeated checks: subspace_demorgan",
-        "context": {},
+        "message": "repeated checks: 'subspace_demorgan'",
+        "context": {"checks": ["subspace_demorgan"]},
+    }
+
+
+@pytest.mark.parametrize(
+    "checks, names",
+    [
+        ("subspace_demorgan,", [""]),
+        (",", ["", ""]),
+        ("", [""]),
+        ("subspace_demorgan, subspace_demorgan", [" subspace_demorgan"]),
+        (",subspace_demorgan ,adjoint_parts", ["", "subspace_demorgan "]),
+    ],
+)
+def test_fuzz_empty_or_padded_check_names(capsys, checks, names):
+    # No part of --checks is stripped or dropped; the record quotes each
+    # unknown name, so an empty or padded one shows.
+    code, out, err = run(capsys, "fuzz", "--trials", "1", "--checks", checks)
+    assert (code, out) == (4, "")
+    assert json.loads(err) == {
+        "code": 4,
+        "message": "unknown checks: " + ", ".join(map(repr, names)),
+        "context": {"checks": names},
     }
 
 

@@ -1,9 +1,10 @@
 """Source hygiene: the package uses every module-level import and calls every
-public method, each subcommand loads only the modules it runs (no numpy, the
-verifier only for ``fuzz`` and ``checks``), and the value layer's memo is the
-package's only cache."""
+public method, each subcommand loads only the modules it runs (no numpy, no
+``hashlib``, the verifier only for ``fuzz`` and ``checks``), and the value
+layer's memo is the package's only cache."""
 
 import ast
+import importlib.util
 import json
 import os
 import subprocess
@@ -199,6 +200,7 @@ import sys
 HEAVY = (
     "numpy", "dataclasses", "inspect", "fractions", "decimal",
     "relcalc.idempotents", "relcalc.angles", "relcalc.verifier", "relcalc.checks",
+    "hashlib", "_hashlib",
 )
 rel, witness_rel, sub, out, listing = sys.argv[1:]
 stages = {}
@@ -228,6 +230,9 @@ assert json.load(open(out))["witnesses"]["not_below_square"] is not None
 record("classify with a witness")
 assert main(["checks", "-o", listing]) == 0
 record("checks")
+assert main(["fuzz", "--dim", "1", "--trials", "1", "--checks", "subspace_demorgan",
+             "-o", out]) == 0
+record("fuzz")
 print(json.dumps(stages))
 """
 
@@ -238,7 +243,10 @@ def test_cold_path_imports(tmp_path):
     ``classify`` only ``relcalc.idempotents``, plus ``fractions`` (and with
     it ``decimal``) when it prints a witness. Only ``checks`` (and ``fuzz``)
     load the fuzz verifier, on first use, and with it ``dataclasses`` and
-    ``inspect``, which no other subcommand loads."""
+    ``inspect``, which no other subcommand loads. No subcommand loads
+    ``hashlib`` and with it OpenSSL: the fuzz streams take SHA-256 from
+    CPython's built-in module (``_sha2``, or ``_sha256`` before 3.12), and
+    only an interpreter built without either may fall back to ``hashlib``."""
 
     def relation(path, generators):
         path.write_text(
@@ -281,6 +289,11 @@ def test_cold_path_imports(tmp_path):
     stages["checks"] = [
         n for n in stages["checks"] if n not in ("dataclasses", "inspect")
     ]
+    # Only an interpreter without CPython's own SHA-256 module uses hashlib.
+    if not any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256")):
+        stages["checks"] = [
+            n for n in stages["checks"] if n not in ("hashlib", "_hashlib")
+        ]
     assert stages == {
         "import relcalc": [],
         "import relcalc.cli": [],
@@ -289,5 +302,6 @@ def test_cold_path_imports(tmp_path):
         "classify": ["relcalc.idempotents"],
         "classify with a witness": ["fractions", "decimal"],
         "checks": ["relcalc.verifier", "relcalc.checks"],
+        "fuzz": [],
     }
     assert len(json.loads(listing.read_text())) == 44

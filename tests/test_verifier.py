@@ -5,6 +5,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from relcalc import InternalCheckError, classify
 from relcalc.cli import main
@@ -49,6 +50,28 @@ def test_trial_rng_is_deterministic_and_separated():
     e = trial_rng(2, "x", 0).random()
     assert a == b
     assert len({a, c, d, e}) == 4
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    seed=st.one_of(
+        st.integers(),
+        st.integers(min_value=2**64, max_value=2**200),
+        st.integers(max_value=-(2**64)),
+    ),
+    name=st.one_of(
+        st.sampled_from(sorted(CHECKS)),
+        st.text(),
+        st.text(alphabet=":,é∩ℝ𝔼 \x00", max_size=8),
+    ),
+    index=st.integers(min_value=-(2**70), max_value=2**70),
+)
+def test_trial_rng_matches_the_hashlib_derivation(seed, name, index):
+    # hashlib is the independent route: the stream must not depend on which
+    # SHA-256 implementation the verifier loads.
+    digest = hashlib.sha256(f"{seed}:{name}:{index}".encode()).digest()
+    expected = random.Random(int.from_bytes(digest[:8], "big"))
+    assert trial_rng(seed, name, index).getrandbits(64) == expected.getrandbits(64)
 
 
 @pytest.mark.parametrize("e", [1, 2, 5, 7, 8, 1000, 2**40])
