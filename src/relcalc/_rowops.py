@@ -2,9 +2,11 @@
 
 A row encodes a vector in F^width (F = Q(i)) as ``(den, re, im)`` where
 ``den`` is a positive integer, ``re``/``im`` are integer sequences of length
-``width`` and entry k equals ``(re[k] + i*im[k]) / den``.  ``im is None``
-means the imaginary part is identically zero; keeping that case on a separate
-code path roughly halves the cost for real data.
+``width`` and entry k equals ``(re[k] + i*im[k]) / den``.  Every row that
+enters or leaves this module carries both sequences in full; a real row has
+an all-zero ``im``.  Inside, an all-zero ``im`` becomes ``None`` on entry,
+and the arithmetic keeps that case on a separate code path, which roughly
+halves the cost for real data.
 
 All mutation is local to this module; callers receive rows with tuple
 components, safe to share.
@@ -14,18 +16,35 @@ from __future__ import annotations
 
 from math import gcd
 
-# (den, re, im-or-None); components are tuples in canonical rows.
+# (den, re, im), ``im`` all zeros for a real row; components are tuples in
+# canonical rows.
 Row = tuple
 
 # Denominator size at which lazy content reduction kicks in.
 _REDUCE_BOUND = 1 << 48
 
+# The all-zero ``im`` of each width up to 64, which every real row this
+# module returns at such a width shares: the memo holds thousands of rows,
+# and one tuple per row would make them larger and the whole run slower.
+_ZEROS = tuple((0,) * width for width in range(65))
 
-def make_row(re, im=None):
-    """Integer row with denominator 1. Collapses an all-zero ``im`` to None."""
-    if im is not None and not any(im):
-        im = None
-    return (1, tuple(re), None if im is None else tuple(im))
+
+def zeros(width):
+    """The all-zero tuple of length ``width``.  Up to width 64 it is the one
+    shared by the real rows of this module, which it recognises without a
+    scan."""
+    return _ZEROS[width] if width < len(_ZEROS) else (0,) * width
+
+
+def make_row(re, im):
+    """Integer row with denominator 1 and tuple components."""
+    return (1, tuple(re), tuple(im))
+
+
+def reduced_row(den, re, im):
+    """The row ``(den, re, im)`` with its content divided out, as tuples."""
+    den, re, nim = _reduce_content(den, re, im)
+    return den, tuple(re), zeros(len(re)) if nim is None else tuple(nim)
 
 
 def _reduce_content(den, re, im):
@@ -114,9 +133,12 @@ def rref(rows, width):
     column indices in increasing order.  Each row is cleared by
     :func:`_eliminate`, the same step :func:`member` uses.
     """
+    # Real rows this module returned share their zero ``im``, which is
+    # recognised without a scan.
+    zero = zeros(width)
     work = []
     for den, re, im in rows:
-        if im is not None and not any(im):
+        if im is zero or (im is not None and not any(im)):
             im = None
         if any(re) or im is not None:
             work.append((den, list(re), list(im) if im is not None else None))
@@ -145,13 +167,12 @@ def rref(rows, width):
             break
     # Lazy elimination can leave shared content behind; canonical uniqueness
     # requires one full reduction per surviving row.  A pivot row with den 1
-    # has leading entry exactly 1, hence content 1 already; every stored row
-    # already has an all-zero ``im`` collapsed to None.
+    # has leading entry exactly 1, hence content 1 already.
     out = []
     for den, re, im in work[:prow]:
         if den != 1:
             den, re, im = _reduce_content(den, re, im)
-        out.append((den, tuple(re), None if im is None else tuple(im)))
+        out.append((den, tuple(re), zero if im is None else tuple(im)))
     return pivots, out
 
 
@@ -168,19 +189,16 @@ def nullspace(pivots, rows, width):
     for f in free:
         den_lcm = 1
         for (den, re, im), p in zip(rows, pivots):
-            if re[f] or (im is not None and im[f]):
+            if re[f] or im[f]:
                 den_lcm = den_lcm * den // gcd(den_lcm, den)
         vre = [0] * width
         vim = [0] * width
         vre[f] = den_lcm
-        has_im = False
         for (den, re, im), p in zip(rows, pivots):
             s = den_lcm // den
             vre[p] = -re[f] * s
-            if im is not None and im[f]:
-                vim[p] = -im[f] * s
-                has_im = True
-        basis.append(_reduce_content(1, vre, vim if has_im else None))
+            vim[p] = -im[f] * s
+        basis.append(_reduce_content(1, vre, vim))
     return rref(basis, width)
 
 
@@ -190,20 +208,24 @@ def residual(pivots, rows, vec):
     in their row space.  Needs each pivot to be the leading nonzero column
     of its row."""
     dv, vre, vim = vec
+    zero = zeros(len(vre))
+    if vim is zero or not any(vim):
+        vim = None
     for (den, re, im), col in zip(rows, pivots):
         if vre[col] or (vim is not None and vim[col]):
-            dv, vre, vim = _eliminate(den, re, im, dv, vre, vim, col)
-    return dv, vre, vim
+            pim = None if im is zero or not any(im) else im
+            dv, vre, vim = _eliminate(den, re, pim, dv, vre, vim, col)
+    return dv, vre, zero if vim is None else vim
 
 
 def member(pivots, rows, vec) -> bool:
     """True if ``vec`` lies in the row space of canonical ``rows``."""
     _, re, im = residual(pivots, rows, vec)
-    return not any(re) and (im is None or not any(im))
+    return not any(re) and not any(im)
 
 
 def conjugate_row(row):
     den, re, im = row
-    if im is None:
+    if not any(im):
         return row
     return (den, re, tuple(-x for x in im))

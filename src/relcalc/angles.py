@@ -64,9 +64,7 @@ def orthonormal_basis_f64(
     """
     require_tol(tol)
     basis: list[tuple[complex, ...]] = []
-    zeros = (0,) * s.ambient_dim
     for _, re, im in s._rows:
-        im = zeros if im is None else im
         top = max(map(abs, re + im))
         w = [complex(x / top, y / top) for x, y in zip(re, im)]
         for _ in range(2):

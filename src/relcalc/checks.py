@@ -48,6 +48,7 @@ from .verifier import (
     random_sub_idempotent,
     random_subrelation,
     random_subspace,
+    random_subspace_of_dim,
     random_super_idempotent,
     random_square_pool,
 )
@@ -83,11 +84,7 @@ def check_complement_membership(rng, cfg):
     def swapped(row):
         den, re, im = row
         nre = tuple(re[:n]) + tuple(re[k] - re[n + k] for k in range(n))
-        nim = (
-            None
-            if im is None
-            else tuple(im[:n]) + tuple(im[k] - im[n + k] for k in range(n))
-        )
+        nim = tuple(im[:n]) + tuple(im[k] - im[n + k] for k in range(n))
         return (den, nre, nim)
 
     if rng.randrange(2):
@@ -847,8 +844,8 @@ def check_angle_intersection(rng, cfg):
     angle=True,
 )
 def check_angle_coincide(rng, cfg):
-    s = random_subspace(rng, cfg, dim=rng.randint(0, cfg.ambient_dim // 2))
-    t = random_subspace(rng, cfg, dim=rng.randint(0, cfg.ambient_dim // 2))
+    s = random_subspace_of_dim(rng, cfg, rng.randint(0, cfg.ambient_dim // 2))
+    t = random_subspace_of_dim(rng, cfg, rng.randint(0, cfg.ambient_dim // 2))
     if not s.intersect(t).is_zero():
         return None
     c0 = dixmier_cos(s, t, cfg.tol)

@@ -115,8 +115,6 @@ def format_entry(p: int, q: int, r: int = 0, s: int = 1) -> str:
 def format_row(row) -> list[str]:
     """The scalar strings of one integer row ``(den, re, im)``."""
     den, re_, im = row
-    if im is None:
-        return [format_entry(x, den) for x in re_]
     return [format_entry(x, den, y, den) for x, y in zip(re_, im)]
 
 
@@ -125,7 +123,7 @@ def _int_row(entries) -> tuple:
     den = lcm(*(q for _, q, _, _ in entries), *(s for _, _, _, s in entries))
     re_ = tuple(p * (den // q) for p, q, _, _ in entries)
     im = tuple(r * (den // s) for _, _, r, s in entries)
-    return (den, re_, im if any(im) else None)
+    return (den, re_, im)
 
 
 # -- payload builders ---------------------------------------------------------

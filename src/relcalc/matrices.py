@@ -22,13 +22,13 @@ def row_to_ints(entries) -> _rowops.Row:
         den = lcm(den, z.re.denominator, z.im.denominator)
     re = [int(z.re * den) for z in scalars]
     im = [int(z.im * den) for z in scalars]
-    return (den, tuple(re), tuple(im) if any(im) else None)
+    return (den, tuple(re), tuple(im))
 
 
 def ints_to_row(row: _rowops.Row) -> tuple[GaussianRational, ...]:
     den, re, im = row
-    if im is None:
-        return tuple(GaussianRational(Fraction(x, den)) for x in re)
+    # A zero part is passed as 0, which GaussianRational converts fastest.
     return tuple(
-        GaussianRational(Fraction(x, den), Fraction(y, den)) for x, y in zip(re, im)
+        GaussianRational(Fraction(x, den), y and Fraction(y, den))
+        for x, y in zip(re, im)
     )

@@ -80,7 +80,7 @@ def _coefficient_nullspace(t_rows, s_rows, width):
     eq_rows = [
         _rowops.make_row(
             [sign * re[c] for re, _, sign in gens],
-            [0 if im is None else sign * im[c] for _, im, sign in gens],
+            [sign * im[c] for _, im, sign in gens],
         )
         for c in range(width)
     ]
@@ -102,7 +102,7 @@ def compose_by_slot_elimination(
     lift_s = _embed(s.graph, total, n).sum_with(_coordinate_block(total, 0, n))
     triple = intersect_by_stacking(lift_t, lift_s)
     rows = [
-        (den, re[:n] + re[n + e :], None if im is None else im[:n] + im[n + e :])
+        (den, re[:n] + re[n + e :], im[:n] + im[n + e :])
         for den, re, im in triple._rows
     ]
     return LinearRelation(n, m, Subspace.from_int_rows(rows, n + m))
@@ -120,11 +120,7 @@ def plus_by_slot_elimination(t: LinearRelation, s: LinearRelation) -> LinearRela
     rows = []
     for den, re, im in pairs._rows:
         nre = list(re[:n]) + [re[n + k] + re[n + m + k] for k in range(m)]
-        nim = (
-            None
-            if im is None
-            else list(im[:n]) + [im[n + k] + im[n + m + k] for k in range(m)]
-        )
+        nim = list(im[:n]) + [im[n + k] + im[n + m + k] for k in range(m)]
         rows.append((den, nre, nim))
     return LinearRelation(n, m, Subspace.from_int_rows(rows, n + m))
 
@@ -134,11 +130,8 @@ def _embed(space: Subspace, total: int, offset: int) -> Subspace:
     for den, re, im in space._rows:
         nre = [0] * total
         nre[offset : offset + len(re)] = re
-        if im is None:
-            nim = None
-        else:
-            nim = [0] * total
-            nim[offset : offset + len(im)] = im
+        nim = [0] * total
+        nim[offset : offset + len(im)] = im
         rows.append((den, nre, nim))
     return Subspace.from_int_rows(rows, total)
 
@@ -149,7 +142,7 @@ def _lift_outer(space: Subspace, n: int, m: int) -> Subspace:
     rows = []
     for den, re, im in space._rows:
         nre = list(re[:n]) + [0] * m + list(re[n:])
-        nim = None if im is None else list(im[:n]) + [0] * m + list(im[n:])
+        nim = list(im[:n]) + [0] * m + list(im[n:])
         rows.append((den, nre, nim))
     return Subspace.from_int_rows(rows, total)
 
@@ -159,7 +152,7 @@ def _coordinate_block(total: int, offset: int, size: int) -> Subspace:
     for i in range(size):
         re = [0] * total
         re[offset + i] = 1
-        rows.append((1, re, None))
+        rows.append((1, re, [0] * total))
     return Subspace.from_int_rows(rows, total)
 
 

@@ -13,6 +13,7 @@ intersection does.
 
 from __future__ import annotations
 
+from operator import neg, sub
 from typing import NamedTuple
 
 from . import _rowops
@@ -39,27 +40,13 @@ def _combine_rows(coeff_rows, blocks_list, width):
     for _, cre, cim in coeff_rows:
         re = [0] * width
         im = [0] * width
-        for j, (bre, bim) in enumerate(blocks_list):
-            a = cre[j]
-            b = cim[j] if cim is not None else 0
+        for a, b, (bre, bim) in zip(cre, cim, blocks_list):
             if not a and not b:
                 continue
-            if bim is None:
-                if a:
-                    for k in range(width):
-                        x = bre[k]
-                        if x:
-                            re[k] += a * x
-                if b:
-                    for k in range(width):
-                        x = bre[k]
-                        if x:
-                            im[k] += b * x
-            else:
-                for k in range(width):
-                    x, y = bre[k], bim[k]
-                    re[k] += a * x - b * y
-                    im[k] += a * y + b * x
+            for k in range(width):
+                x, y = bre[k], bim[k]
+                re[k] += a * x - b * y
+                im[k] += a * y + b * x
         out.append(_rowops.make_row(re, im))
     return out
 
@@ -105,10 +92,7 @@ class LinearRelation:
     def identity_on(cls, space: Subspace) -> "LinearRelation":
         """I_M = {(u, u) : u in M}; the diagonal rows stay canonical."""
         n = space.ambient_dim
-        rows = [
-            (den, re + re, None if im is None else im + im)
-            for den, re, im in space._rows
-        ]
+        rows = [(den, re + re, im + im) for den, re, im in space._rows]
         graph = Subspace._from_rref(2 * n, space._pivots, rows)
         return cls(n, n, graph)
 
@@ -121,14 +105,8 @@ class LinearRelation:
         """The relation with graph N x S (dom = ker = N, ran = mul = S)."""
         n, m = left.ambient_dim, right.ambient_dim
         zero_n, zero_m = (0,) * n, (0,) * m
-        rows = [
-            (den, re + zero_m, None if im is None else im + zero_m)
-            for den, re, im in left._rows
-        ]
-        rows += [
-            (den, zero_n + re, None if im is None else zero_n + im)
-            for den, re, im in right._rows
-        ]
+        rows = [(den, re + zero_m, im + zero_m) for den, re, im in left._rows]
+        rows += [(den, zero_n + re, zero_n + im) for den, re, im in right._rows]
         pivots = list(left._pivots) + [n + p for p in right._pivots]
         graph = Subspace._from_rref(n + m, pivots, rows)
         return cls(n, m, graph)
@@ -223,7 +201,7 @@ class LinearRelation:
         """Slot swap: {(y, x) : (x, y) in T}."""
         n, m = self.dim_in, self.dim_out
         swapped = [
-            (den, re[n:] + re[:n], None if im is None else im[n:] + im[:n])
+            (den, re[n:] + re[:n], im[n:] + im[:n])
             for den, re, im in self.graph._rows
         ]
         return LinearRelation(m, n, Subspace.from_int_rows(swapped, n + m))
@@ -244,13 +222,13 @@ class LinearRelation:
         mul_pivots, mul_rows = graph._pivots[split:], graph._rows[split:]
         rows = []
         for den, re, im in graph._rows[:split]:
-            re = re[:n] + tuple(a - b for a, b in zip(re, re[n:]))
-            if im is not None:
-                im = im[:n] + tuple(a - b for a, b in zip(im, im[n:]))
-            den, re, im = _rowops._reduce_content(
-                *_rowops.residual(mul_pivots, mul_rows, (den, re, im))
+            re = re[:n] + tuple(map(sub, re, re[n:]))
+            im = im[:n] + tuple(map(sub, im, im[n:]))
+            rows.append(
+                _rowops.reduced_row(
+                    *_rowops.residual(mul_pivots, mul_rows, (den, re, im))
+                )
             )
-            rows.append((den, tuple(re), None if im is None else tuple(im)))
         graph = Subspace._from_rref(2 * n, graph._pivots, rows + list(mul_rows))
         return LinearRelation(n, n, graph)
 
@@ -276,8 +254,8 @@ class LinearRelation:
         for row, p in zip(inverse._rows, inverse._pivots):
             den, re, im = _rowops.conjugate_row(row)
             if p < m:
-                re = re[:m] + tuple(-x for x in re[m:])
-                im = None if im is None else im[:m] + tuple(-x for x in im[m:])
+                re = re[:m] + tuple(map(neg, re[m:]))
+                im = im[:m] + tuple(map(neg, im[m:]))
             cond_rows.append((den, re, im))
         width = inverse.ambient_dim
         pivots, rows = _rowops.nullspace(inverse._pivots, cond_rows, width)
@@ -315,7 +293,7 @@ class LinearRelation:
         n, m = self.dim_in, self.dim_out
         zero_m = (0,) * m
         pairs = [
-            ((re[:n] + zero_m, None if im is None else im[:n] + zero_m), (re, im))
+            ((re[:n] + zero_m, im[:n] + zero_m), (re, im))
             for _, re, im in self.graph._rows
         ]
         return LinearRelation(n, m, _read_off(other.graph, n, pairs, n + m))
@@ -338,10 +316,7 @@ class LinearRelation:
         m = self.dim_out
         zero_m = (0,) * m
         pairs = [
-            (
-                (re[n:] + zero_m, None if im is None else im[n:] + zero_m),
-                (re[:n] + zero_m, None if im is None else im[:n] + zero_m),
-            )
+            ((re[n:] + zero_m, im[n:] + zero_m), (re[:n] + zero_m, im[:n] + zero_m))
             for _, re, im in other.graph._rows
         ]
         return LinearRelation(n, m, _read_off(self.graph, e, pairs, n + m))
@@ -363,12 +338,9 @@ def _split_at(graph: Subspace, n: int) -> list:
     halves = ([], []), ([], [])
     for (den, re, im), p in zip(graph._rows, graph._pivots):
         cut = slice(0, n) if p < n else slice(n, None)
-        den, re, im = _rowops._reduce_content(
-            den, re[cut], None if im is None else im[cut]
-        )
         pivots, rows = halves[p >= n]
         pivots.append(p - cut.start)
-        rows.append((den, tuple(re), None if im is None else tuple(im)))
+        rows.append(_rowops.reduced_row(den, re[cut], im[cut]))
     widths = (n, graph.ambient_dim - n)
     return [Subspace._from_rref(w, *half) for w, half in zip(widths, halves)]
 

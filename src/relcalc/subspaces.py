@@ -9,6 +9,7 @@ identical.  The inner product is conjugate-linear in the second argument:
 from __future__ import annotations
 
 import functools
+from operator import sub
 
 from . import _rowops
 from .errors import DimensionError
@@ -88,11 +89,10 @@ class Subspace:
 
     @classmethod
     def _from_rref(cls, ambient_dim, pivots, rows) -> "Subspace":
-        rows = tuple(rows)
-        return memo(
-            (ambient_dim, rows),
-            lambda: cls(ambient_dim, pivots, rows, _internal=True),
-        )
+        # The value is its own memo key, so its rows are hashed once, in
+        # the constructor, and not again by each dict operation.
+        space = cls(ambient_dim, pivots, rows, _internal=True)
+        return memo(space, lambda: space)
 
     @classmethod
     def from_int_rows(cls, int_rows, ambient_dim: int) -> "Subspace":
@@ -122,12 +122,10 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        rows = []
-        for i in range(ambient_dim):
-            re = [0] * ambient_dim
-            re[i] = 1
-            rows.append((1, tuple(re), None))
-        return cls._from_rref(ambient_dim, tuple(range(ambient_dim)), rows)
+        zeros = (0,) * ambient_dim
+        pivots = range(ambient_dim)
+        rows = [(1, zeros[:i] + (1,) + zeros[i + 1 :], zeros) for i in pivots]
+        return cls._from_rref(ambient_dim, pivots, rows)
 
     # -- basic queries ----------------------------------------------------
 
@@ -158,8 +156,7 @@ class Subspace:
         return self._hash
 
     def __reduce__(self):
-        # Rebuilt from the rows: the stored hash covers ``hash(None)``, which
-        # differs between interpreter processes, and the copy is interned.
+        # Rebuilt from the rows, so the copy is interned.
         return Subspace._from_rref, (self.ambient_dim, self._pivots, self._rows)
 
     def __repr__(self) -> str:
@@ -257,7 +254,7 @@ def _sum(big: Subspace, small: Subspace) -> Subspace:
     rest = []
     for row in small._rows:
         den, re, im = _rowops.residual(big._pivots, big._rows, row)
-        if any(re) or (im is not None and any(im)):
+        if any(re) or any(im):
             rest.append((den, re, im))
     if not rest:
         return big
@@ -280,29 +277,26 @@ def _read_off(against: Subspace, k: int, pairs, width: int, spanned=None):
     when every residual block is zero.
     """
     lead = width - against.ambient_dim + k
-    zero_r, zero_b = (0,) * against.ambient_dim, (0,) * width
+    zero = _rowops.zeros(k + width)
 
     def stack(d, r, b):
-        row = list(r[:k])
-        row += [d * x for x in b[:lead]]
-        row += [d * x - y for x, y in zip(b[lead:], r[k:])]
-        return row
+        # Zero parts, the imaginary ones of real data, stack to zero.
+        if not any(r) and not any(b):
+            return zero
+        if d != 1:
+            b = [d * x for x in b]
+        return [*r[:k], *b[:lead], *map(sub, b[lead:], r[k:])]
 
     rows = []
     for (vre, vim), (bre, bim) in pairs:
         d, rre, rim = _rowops.residual(against._pivots, against._rows, (1, vre, vim))
-        if rim is None and bim is None:
-            rows.append((1, stack(d, rre, bre), None))
-        else:
-            rim, bim = zero_r if rim is None else rim, zero_b if bim is None else bim
-            rows.append((1, stack(d, rre, bre), stack(d, rim, bim)))
+        rows.append((1, stack(d, rre, bre), stack(d, rim, bim)))
     pad = (0,) * lead
     for (den, re, im), p in zip(against._rows, against._pivots):
         if p >= k:
-            pad_im = None if im is None else im[:k] + pad + im[k:]
-            rows.append((den, re[:k] + pad + re[k:], pad_im))
+            rows.append((den, re[:k] + pad + re[k:], im[:k] + pad + im[k:]))
     if spanned is not None and not any(
-        any(re[:k]) or (im is not None and any(im[:k])) for _, re, im in rows
+        any(re[:k]) or any(im[:k]) for _, re, im in rows
     ):
         return spanned
     pivots, rows = _rowops.rref(rows, k + width)
@@ -310,5 +304,5 @@ def _read_off(against: Subspace, k: int, pairs, width: int, spanned=None):
     return Subspace._from_rref(
         width,
         [p - k for p in pivots[start:]],
-        [(den, re[k:], None if im is None else im[k:]) for den, re, im in rows[start:]],
+        [(den, re[k:], im[k:]) for den, re, im in rows[start:]],
     )

@@ -107,24 +107,21 @@ def _random_ints(rng, e: int, n: int) -> tuple:
 def _random_int_row(rng, cfg, n: int):
     e = cfg.max_entry
     re = _random_ints(rng, e, n)
-    if cfg.complex_enabled:
-        im = _random_ints(rng, e, n)
-        if any(im):
-            return (1, re, im)
-    return (1, re, None)
+    im = _random_ints(rng, e, n) if cfg.complex_enabled else (0,) * n
+    return (1, re, im)
 
 
-def random_subspace(
-    rng, cfg, ambient: int | None = None, dim: int | None = None
-) -> Subspace:
-    """Row space of a random integer matrix; a requested dimension is
-    achieved by regenerating on rank deficiency."""
-    n = cfg.ambient_dim if ambient is None else ambient
-    if dim is None:
-        k = rng.randint(0, n)
-        return Subspace.from_int_rows(
-            [_random_int_row(rng, cfg, n) for _ in range(k)], n
-        )
+def random_subspace(rng, cfg) -> Subspace:
+    """Row space of a random integer matrix with a random number of rows."""
+    n = cfg.ambient_dim
+    k = rng.randint(0, n)
+    return Subspace.from_int_rows([_random_int_row(rng, cfg, n) for _ in range(k)], n)
+
+
+def random_subspace_of_dim(rng, cfg, dim: int) -> Subspace:
+    """Row space of a random integer matrix with ``dim`` rows, regenerated
+    until they are independent."""
+    n = cfg.ambient_dim
     if dim > n:
         raise DimensionError(f"requested dim {dim} exceeds ambient {n}")
     if dim == 0:
@@ -155,9 +152,7 @@ def random_operator(rng, cfg, n: int | None = None) -> LinearRelation:
         re = [0] * n
         re[i] = 1
         _, cre, cim = cols[i]
-        rows.append(
-            (1, tuple(re) + cre, None if cim is None else (0,) * n + cim)
-        )
+        rows.append((1, tuple(re) + cre, (0,) * n + cim))
     return LinearRelation(n, n, Subspace.from_int_rows(rows, 2 * n))
 
 
@@ -187,7 +182,7 @@ def random_independent_split(rng, cfg, parts: int = 3):
             draws = _random_ints(rng, cfg.max_entry, 2 * n)
             v = (1, draws[::2], draws[1::2])
         else:
-            v = (1, _random_ints(rng, cfg.max_entry, n), None)
+            v = (1, _random_ints(rng, cfg.max_entry, n), (0,) * n)
         grown = current.sum_with(Subspace.from_int_rows([v], n))
         if grown.dim > current.dim:
             chosen.append(v)

@@ -382,7 +382,7 @@ def test_integer_print_matches_the_scalar_route(den, pairs, real):
     row = (
         den,
         tuple(x for x, _ in pairs),
-        None if real else tuple(y for _, y in pairs),
+        tuple(0 if real else y for _, y in pairs),
     )
     printed = format_row(row)
     assert sys.get_int_max_str_digits() == LIMIT

@@ -96,8 +96,8 @@ def test_eviction_never_changes_an_answer(monkeypatch):
 
 
 def test_pickles_hash_alike_in_another_process():
-    # A real row's im is None, and hash(None) differs between processes, so
-    # an unpickled value must hash from its rows and not carry a stored hash.
+    # An unpickled value is rebuilt through its constructor, so it is
+    # interned and its hash is recomputed from its rows.
     script = (
         "import pickle, sys\n"
         "from relcalc import LinearRelation\n"
@@ -112,6 +112,26 @@ def test_pickles_hash_alike_in_another_process():
     here = LinearRelation.identity(2)
     assert back == here and hash(back) == hash(here)
     assert hash(back.graph) == hash(here.graph)
+
+
+def test_hashes_are_the_same_in_every_process():
+    # A row holds only integers, and a real row's im is a tuple of zeros,
+    # so a value hashes alike in every interpreter process.
+    script = (
+        "from relcalc import LinearRelation, Subspace\n"
+        "print(hash(Subspace.full(3)), hash(LinearRelation.identity(2)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    there = [int(x) for x in done.stdout.split()]
+    assert there == [hash(Subspace.full(3)), hash(LinearRelation.identity(2))]
 
 
 def _relation():

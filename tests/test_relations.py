@@ -113,16 +113,14 @@ def one_minus_by_int_rows(t):
     rows = []
     for den, re, im in t.graph._rows:
         nre = list(re[:n]) + [re[k] - re[n + k] for k in range(n)]
-        nim = None
-        if im is not None:
-            nim = list(im[:n]) + [im[k] - im[n + k] for k in range(n)]
+        nim = list(im[:n]) + [im[k] - im[n + k] for k in range(n)]
         rows.append((den, nre, nim))
     return LinearRelation(n, n, Subspace.from_int_rows(rows, 2 * n))
 
 
 def leading_columns(space):
     return tuple(
-        next(k for k, x in enumerate(re) if x or (im is not None and im[k]))
+        next(k for k, x in enumerate(re) if x or im[k])
         for _, re, im in space._rows
     )
 
@@ -156,8 +154,8 @@ def projection_parts(t):
     n = t.dim_in
     dom_rows, ran_rows = [], []
     for den, re, im in t.graph._rows:
-        dom_rows.append((den, re[:n], None if im is None else im[:n]))
-        ran_rows.append((den, re[n:], None if im is None else im[n:]))
+        dom_rows.append((den, re[:n], im[:n]))
+        ran_rows.append((den, re[n:], im[n:]))
     return (
         Subspace.from_int_rows(dom_rows, n),
         Subspace.from_int_rows(ran_rows, t.dim_out),
@@ -462,7 +460,7 @@ def adjoint_by_condition_rows(t):
     cond_rows = []
     for _, re, im in t.graph._rows:
         cre = list(re[n:]) + [-x for x in re[:n]]
-        cim = None if im is None else [-x for x in im[n:]] + list(im[:n])
+        cim = [-x for x in im[n:]] + list(im[:n])
         cond_rows.append(_rowops.make_row(cre, cim))
     pivots, rows = _rowops.rref(cond_rows, m + n)
     null_pivots, null_rows = _rowops.nullspace(pivots, rows, m + n)

@@ -49,7 +49,6 @@ def ref_rref(rows, width):
 
 def as_pairs(row):
     den, re, im = row
-    im = (0,) * len(re) if im is None else im
     return [(Fraction(a, den), Fraction(b, den)) for a, b in zip(re, im)]
 
 
@@ -61,22 +60,23 @@ def as_int_row(pairs):
         den = den * b.denominator // gcd(den, b.denominator)
     re = tuple(int(a * den) for a, _ in pairs)
     im = tuple(int(b * den) for _, b in pairs)
-    return (den, re, im if any(im) else None)
+    return (den, re, im)
 
 
 def assert_canonical(pivots, rows):
     """The rows are in reduced echelon form over increasing pivots, each
-    content-reduced, storing ``im`` as None exactly when it vanishes.  The
-    reduced echelon form of a subspace is unique."""
+    content-reduced, with tuple ``re`` and ``im`` of the full width (``im``
+    all zeros for a real row).  The reduced echelon form of a subspace is
+    unique."""
     assert len(pivots) == len(rows) and list(pivots) == sorted(set(pivots))
     for i, ((den, re, im), p) in enumerate(zip(rows, pivots)):
-        assert isinstance(re, tuple) and den > 0
-        assert im is None or (isinstance(im, tuple) and any(im))
-        assert gcd(den, *re, *(im or ())) == 1
-        assert re[p] == den and (im is None or im[p] == 0)
-        assert not any(re[:p]) and (im is None or not any(im[:p]))
+        assert isinstance(re, tuple) and isinstance(im, tuple) and den > 0
+        assert len(re) == len(im)
+        assert gcd(den, *re, *im) == 1
+        assert re[p] == den and im[p] == 0
+        assert not any(re[:p]) and not any(im[:p])
         for j, (_, ore, oim) in enumerate(rows):
-            assert j == i or (ore[p] == 0 and (oim is None or oim[p] == 0))
+            assert j == i or (ore[p] == 0 and oim[p] == 0)
 
 
 # Small entries make zero and repeated pivots likely; 2**40..2**64 push the
@@ -92,9 +92,9 @@ magnitudes = st.one_of(
 def engine_rows(draw, max_width=24, max_rows=8):
     """Width and input rows.
 
-    Rows may be real (``im is None``), carry an all-zero ``im`` the engine
-    must collapse, be purely imaginary or complex, repeat an earlier row,
-    be zero, or have a denominator above 1.
+    Rows may be real (an all-zero ``im``), purely imaginary or complex, in
+    an all-real or a mixed set; they may repeat an earlier row, be zero, or
+    have a denominator above 1.
     """
     width = draw(st.integers(1, max_width))
     real = draw(st.booleans())
@@ -106,13 +106,11 @@ def engine_rows(draw, max_width=24, max_rows=8):
             continue
         den = draw(st.sampled_from((1, 1, 2, 6, 2**50 + 1)))
         if shape == "zero":
-            rows.append((den, (0,) * width, None if real else (0,) * width))
+            rows.append((den, (0,) * width, (0,) * width))
             continue
-        kind = "real" if real else draw(st.sampled_from(("imag", "complex", "zero-im")))
+        kind = "real" if real else draw(st.sampled_from(("imag", "complex", "real")))
         re = tuple(0 if kind == "imag" else draw(magnitudes) for _ in range(width))
         if kind == "real":
-            im = None
-        elif kind == "zero-im":
             im = (0,) * width
         else:
             im = tuple(draw(magnitudes) for _ in range(width))
@@ -125,8 +123,8 @@ FIXED = [
     (3, [(1, (0, 0, 1), (2, 1, 0)), (1, (0, 0, 1), (2, 1, 0)),
          (1, (0, 0, 0), (0, 0, 0)), (2, (3, 4, 5), (4, -3, 1))]),
     # Real pivots whose products pass the lazy reduction bound.
-    (3, [(1, (2**47 + 1, 3, 5), None), (1, (7, 2**47 - 1, 11), None),
-         (1, (13, 17, 2**45 + 3), None)]),
+    (3, [(1, (2**47 + 1, 3, 5), (0, 0, 0)), (1, (7, 2**47 - 1, 11), (0, 0, 0)),
+         (1, (13, 17, 2**45 + 3), (0, 0, 0))]),
 ]
 
 
@@ -140,6 +138,9 @@ def test_rref_matches_reference(case):
     pivots, out = _rowops.rref(rows, width)
     assert_canonical(pivots, out)
     assert (pivots, [as_pairs(r) for r in out]) == ref_rref(pairs, width)
+    # Canonical rows, whose real ones share the kernel's zero im, are their
+    # own reduced echelon form.
+    assert _rowops.rref(out, width) == (pivots, out)
 
 
 @settings(max_examples=60, deadline=None)

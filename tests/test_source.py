@@ -134,6 +134,49 @@ def test_second_cache_detector(tmp_path):
     ]
 
 
+def none_rows(path):
+    """``file:line what`` for each line of ``path`` that compares a name
+    ending in ``im`` with None or builds a 3-tuple ending in the constant
+    None: the traces of a row whose imaginary part may be None."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            names = [o.id for o in operands if isinstance(o, ast.Name)]
+            nones = [o for o in operands
+                     if isinstance(o, ast.Constant) and o.value is None]
+            if nones and any(name.endswith("im") for name in names):
+                found.add((node.lineno, "compares an im with None"))
+        elif isinstance(node, ast.Tuple) and len(node.elts) == 3:
+            last = node.elts[-1]
+            if isinstance(last, ast.Constant) and last.value is None:
+                found.add((node.lineno, "builds a row with a None im"))
+    return [f"{path.name}:{line} {what}" for line, what in sorted(found)]
+
+
+def test_rows_carry_im_outside_the_kernel():
+    """Every row outside ``_rowops`` carries its imaginary part as a tuple;
+    only the kernel turns an all-zero one into None, for its real path."""
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "_rowops.py")
+    assert [hit for path in modules for hit in none_rows(path)] == []
+
+
+def test_none_row_detector(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "def f(den, re, im, bim, dim, x):\n"
+        "    if im is None and bim is not None:\n"
+        "        return (den, re, None)\n"
+        "    y = None if dim == None else x\n"
+        "    return (1, re, im), (den, None, im), (None, None), x is None\n"
+    )
+    assert none_rows(bad) == [
+        "bad.py:2 compares an im with None",
+        "bad.py:3 builds a row with a None im",
+        "bad.py:4 compares an im with None",
+    ]
+
+
 def test_every_public_name_resolves():
     """The package loads its modules on first use of a public name; every
     name in ``__all__`` resolves to the object its module defines."""

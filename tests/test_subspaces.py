@@ -24,7 +24,7 @@ def span(vectors, n):
 
 def leading_columns(space):
     return tuple(
-        next(k for k, x in enumerate(re) if x or (im is not None and im[k]))
+        next(k for k, x in enumerate(re) if x or im[k])
         for _, re, im in space._rows
     )
 

@@ -23,6 +23,7 @@ from relcalc.verifier import (
     random_relation,
     random_sub_idempotent,
     random_subspace,
+    random_subspace_of_dim,
     random_super_idempotent,
     trial_rng,
     verify_suite,
@@ -85,18 +86,19 @@ def test_random_int_row_draws_as_randint(e):
             rng, twin = random.Random(seed), random.Random(seed)
             _, re, im = _random_int_row(rng, cfg, 5)
             assert re == tuple(twin.randint(-e, e) for _ in range(5))
+            drawn = (0,) * 5
             if complex_enabled:
                 drawn = tuple(twin.randint(-e, e) for _ in range(5))
-                assert (im or (0,) * 5) == drawn
+            assert im == drawn
             assert rng.random() == twin.random()
 
 
 def test_random_subspace_dims():
     cfg = GenConfig(ambient_dim=4, trials=1, seed=0)
     rng = trial_rng(0, "gen", 0)
-    assert random_subspace(rng, cfg, dim=0).is_zero()
-    assert random_subspace(rng, cfg, dim=4).dim == 4
-    assert random_subspace(rng, cfg, dim=2).dim == 2
+    assert random_subspace_of_dim(rng, cfg, 0).is_zero()
+    assert random_subspace_of_dim(rng, cfg, 4).dim == 4
+    assert random_subspace_of_dim(rng, cfg, 2).dim == 2
 
 
 def test_random_subspace_reproducible():
