@@ -6,22 +6,21 @@ exit codes: 0 ok, 2 parse error, 3 dimension error, 4 violated mathematical
 precondition, 5 breached internal invariant (including fuzz counterexamples).
 
 Each handler imports the modules that only it runs (idempotents, angles, the
-verifier), and the parser of a named subcommand holds only that subcommand,
-so one process loads and builds no more than its subcommand needs.
+verifier), and the command line is read from the subcommand table with no
+parser library, so one process loads no more than its subcommand needs.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import json
 import os
+import re
 import sys
+from types import SimpleNamespace
 
 from . import documents
 from .errors import ICViolationError, ParseError, RelcalcError
-from .relations import LinearRelation
-from .subspaces import Subspace
 
 DEFAULT_SEED_ENV = "RELCALC_SEED"
 
@@ -61,21 +60,13 @@ def _load_kind(path: str, kind: str):
     return env.payload
 
 
-def _load_subspace(path: str) -> Subspace:
-    return _load_kind(path, "subspace")
-
-
-def _load_relation(path: str) -> LinearRelation:
-    return _load_kind(path, "relation")
-
-
 # -- subcommand handlers -----------------------------------------------------
 
 
 def _cmd_classify(args) -> int:
     from .idempotents import classify
 
-    e = _load_relation(args.relation)
+    e = _load_kind(args.relation, "relation")
     record = classify(e)._asdict()
     record["witnesses"] = {
         key: None if pair is None else [[str(z) for z in half] for half in pair]
@@ -86,7 +77,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_parts(args) -> int:
-    e = _load_relation(args.relation)
+    e = _load_kind(args.relation, "relation")
     p = e.parts()
     record = {
         "dom": documents.subspace_payload(p.dom),
@@ -99,28 +90,24 @@ def _cmd_parts(args) -> int:
     return 0
 
 
-def _method(args) -> str:
-    """Subcommand "hat-sum" runs LinearRelation.hat_sum, and so on."""
-    return args.command.replace("-", "_")
-
-
 def _cmd_binary(args) -> int:
-    a = _load_relation(args.left)
-    b = _load_relation(args.right)
-    _emit_document(getattr(a, _method(args))(b), args.output)
+    a = _load_kind(args.left, "relation")
+    b = _load_kind(args.right, "relation")
+    # Subcommand "hat-sum" runs LinearRelation.hat_sum, and so on.
+    _emit_document(getattr(a, args.command.replace("-", "_"))(b), args.output)
     return 0
 
 
 def _cmd_unary(args) -> int:
-    t = _load_relation(args.relation)
-    _emit_document(getattr(t, _method(args))(), args.output)
+    t = _load_kind(args.relation, "relation")
+    _emit_document(getattr(t, args.command.replace("-", "_"))(), args.output)
     return 0
 
 
 def _cmd_build(args) -> int:
     from . import idempotents
 
-    spaces = [_load_subspace(p) for p in args.spaces]
+    spaces = [_load_kind(p, "subspace") for p in args.spaces]
     kind = args.form
     if kind == "pmn":
         if len(spaces) != 2:
@@ -142,7 +129,7 @@ def _cmd_build(args) -> int:
 def _cmd_triple(args) -> int:
     from . import idempotents
 
-    e = _load_relation(args.relation)
+    e = _load_kind(args.relation, "relation")
     if args.kind == "kernel":
         triple = idempotents.kernel_triple(e)
     else:
@@ -166,9 +153,9 @@ def _cmd_convert_triple(args) -> int:
 def _cmd_ic(args) -> int:
     from .idempotents import require_ic
 
-    m = _load_subspace(args.m)
-    n = _load_subspace(args.n)
-    s = _load_subspace(args.s)
+    m = _load_kind(args.m, "subspace")
+    n = _load_kind(args.n, "subspace")
+    s = _load_kind(args.s, "subspace")
     try:
         require_ic(m, n, s)
     except ICViolationError:
@@ -181,8 +168,8 @@ def _cmd_ic(args) -> int:
 def _cmd_angles(args) -> int:
     from .angles import angles_record
 
-    s = _load_subspace(args.left)
-    t = _load_subspace(args.right)
+    s = _load_kind(args.left, "subspace")
+    t = _load_kind(args.right, "subspace")
     record = angles_record(s, t, args.tol)
     _emit_json(record, args.output)
     return 0
@@ -199,7 +186,7 @@ def _cmd_fuzz(args) -> int:
         text = os.environ.get(DEFAULT_SEED_ENV, "0")
         try:
             seed = _integer(text)
-        except argparse.ArgumentTypeError:
+        except ParseError:
             raise ParseError(
                 f"${DEFAULT_SEED_ENV} must be an integer, got {text!r}",
                 variable=DEFAULT_SEED_ENV,
@@ -241,15 +228,11 @@ def _cmd_checks(args) -> int:
     return 0
 
 
-# -- parser ---------------------------------------------------------------------
-
-
-class _Parser(argparse.ArgumentParser):
-    """Reports a bad command line as a :class:`ParseError` (exit 2 with a
-    JSON record) instead of printing usage and exiting."""
-
-    def error(self, message):
-        raise ParseError(f"{self.prog}: {message}")
+# -- command line ---------------------------------------------------------------
+#
+# ``_SUBCOMMANDS`` is the command-line spec: an argument is ``(flags, options)``
+# in the terms of the standard library's parser, whose reading of an argv
+# ``_parse`` follows without loading it (or gettext and locale with it).
 
 
 def _integer(text: str) -> int:
@@ -263,18 +246,15 @@ def _integer(text: str) -> int:
             return int(body)
         except ValueError:  # past the interpreter's digit limit
             pass
-    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    raise ParseError(f"invalid int value: {text!r}")
 
 
-def _arg(*flags, **options):
-    """One ``add_argument`` call, kept until its subparser is built."""
-    return flags, options
+_HELP = ("-h/--help", dict(help="show this help and exit"))
+_OUTPUT = ("-o/--output", dict(help="write to FILE"))
+_RELATION = [("relation", {})]
+_LEFT_RIGHT = [("left", {}), ("right", {})]
 
-
-_RELATION = [_arg("relation")]
-_LEFT_RIGHT = [_arg("left"), _arg("right")]
-
-# Subcommand: handler, help text, and the arguments after -o.
+# Subcommand: handler, help text, and the arguments after -h and -o.
 _SUBCOMMANDS = {
     "classify": (_cmd_classify, "classification flags of a relation", _RELATION),
     "parts": (_cmd_parts, "dom/ran/ker/mul of a relation", _RELATION),
@@ -289,87 +269,184 @@ _SUBCOMMANDS = {
         _cmd_build,
         "canonical idempotent constructions",
         [
-            _arg("form", choices=("pmn", "pmns", "min", "max")),
-            _arg("spaces", nargs="+", help="subspace document files"),
+            ("form", dict(choices=("pmn", "pmns", "min", "max"))),
+            ("spaces", dict(nargs="+", help="subspace document files")),
         ],
     ),
     "triple": (
         _cmd_triple,
         "kernel or range triple of an idempotent",
-        [*_RELATION, _arg("--kind", choices=("kernel", "range"), default="kernel")],
+        [*_RELATION, ("--kind", dict(choices=("kernel", "range"), default="kernel"))],
     ),
-    "convert-triple": (_cmd_convert_triple, "switch triple flavors", [_arg("triple")]),
+    "convert-triple": (_cmd_convert_triple, "switch triple flavors", [("triple", {})]),
     "ic": (
         _cmd_ic,
         "test the idempotency condition on three subspaces",
-        [_arg("m"), _arg("n"), _arg("s")],
+        [("m", {}), ("n", {}), ("s", {})],
     ),
     "angles": (
         _cmd_angles,
         "Dixmier and Friedrichs cosines",
-        [*_LEFT_RIGHT, _arg("--tol", type=float, default=1e-9)],
+        [*_LEFT_RIGHT, ("--tol", dict(type=float, default=1e-9))],
     ),
     "fuzz": (
         _cmd_fuzz,
         "run the randomized identity suite",
         [
-            _arg("--dim", type=_integer, default=4, help="ambient dimension (max 8)"),
-            _arg("--trials", type=_integer, default=100),
-            _arg(
-                "--seed",
-                type=_integer,
-                default=None,
-                help=f"default: ${DEFAULT_SEED_ENV} or 0",
-            ),
-            _arg("--max-entry", type=_integer, default=5),
-            _arg("--real", action="store_true", help="disable complex entries"),
-            _arg(
-                "--samples",
-                type=_integer,
-                default=100,
-                help="extremality samples per instance",
-            ),
-            _arg("--checks", default=None, help="comma-separated check names"),
-            _arg("--tol", type=float, default=1e-9, help="angle tolerance"),
+            ("--dim", dict(type=_integer, default=4, help="ambient dimension (max 8)")),
+            ("--trials", dict(type=_integer, default=100)),
+            ("--seed", dict(type=_integer, help=f"default: ${DEFAULT_SEED_ENV} or 0")),
+            ("--max-entry", dict(type=_integer, default=5)),
+            ("--real", dict(action="store_true", default=False, help="disable complex entries")),
+            ("--samples", dict(type=_integer, default=100, help="extremality samples per instance")),
+            ("--checks", dict(help="comma-separated check names")),
+            ("--tol", dict(type=float, default=1e-9, help="angle tolerance")),
         ],
     ),
     "checks": (_cmd_checks, "list available fuzz checks", []),
 }
+_DESCRIPTION = (
+    "Exact calculus of linear relations: classify idempotents, build canonical forms, "
+    "compute adjoints and subspace angles, and fuzz the whole identity suite."
+)
+# "-3" and "-.5" are values, not options; compiled only when an argument needs it.
+_NEGATIVE = r"^-\d+$|^-\d*\.\d+$"
 
 
-def build_parser(argv=None) -> argparse.ArgumentParser:
-    """The command-line parser.  When ``argv`` starts with a subcommand, the
-    parser holds only that one: no other subparser can take part in the
-    parse, so usage errors, help and exit codes are those of the full
-    parser, which ``-h``, an empty or an unknown command gets."""
-    parser = _Parser(
-        prog="relcalc",
-        description=(
-            "Exact calculus of linear relations: classify idempotents, build "
-            "canonical forms, compute adjoints and subspace angles, and fuzz "
-            "the whole identity suite."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    names = list(_SUBCOMMANDS)
-    if argv and argv[0] in _SUBCOMMANDS:
-        names = [argv[0]]
-    for name in names:
-        fn, help_text, arguments = _SUBCOMMANDS[name]
-        p = sub.add_parser(name, help=help_text)
-        p.set_defaults(fn=fn)
-        p.add_argument("-o", "--output", default=None, help="write to FILE")
-        for flags, options in arguments:
-            p.add_argument(*flags, **options)
-    return parser
+def _option(prog: str, arg: str, flags):
+    """None for a value, else ``(flag, text after = or a short flag, or None)``,
+    or ``(None, arg)`` for an unknown option; long options take prefixes."""
+    if arg in flags:
+        return arg, None
+    if len(arg) < 2 or arg[0] != "-":
+        return None
+    head, eq, tail = arg.partition("=")
+    if eq and head in flags:
+        return head, tail
+    if arg[1] == "-":
+        hits, tail = [flag for flag in flags if flag.startswith(head)], tail if eq else None
+    else:
+        hits, tail = [flag for flag in flags if flag == arg[:2]], arg[2:]
+    if len(hits) > 1:
+        raise ParseError(f"{prog}: ambiguous option: {arg} could match {', '.join(hits)}")
+    if hits:
+        return hits[0], tail
+    return None if re.match(_NEGATIVE, arg) or " " in arg else (None, arg)
+
+
+def _value(prog: str, flags: str, options: dict, text: str):
+    kind = options.get("type", str)
+    try:
+        value = kind(text)
+    except (ValueError, ParseError) as exc:
+        message = getattr(exc, "message", f"invalid {kind.__name__} value: {text!r}")
+        raise ParseError(f"{prog}: argument {flags}: {message}") from None
+    if value not in options.get("choices", (value,)):
+        choices = ", ".join(map(repr, options["choices"]))
+        raise ParseError(f"{prog}: argument {flags}: invalid choice: {value!r} (choose from {choices})")
+    return value
+
+
+def _help(usage: str, about: str, rows):
+    sys.stdout.write(f"usage: {usage}\n\n{about}\n\n")
+    sys.stdout.writelines(f"  {left:<16}  {right}".rstrip() + "\n" for left, right in rows)
+
+
+def _describe(flags: str, options: dict):
+    """One line of a subcommand's help: an argument, its help, choices and default."""
+    notes = [options.get("help"), "choices" in options and "one of " + ", ".join(
+        options["choices"]), options.get("default") and f"(default: {options['default']})"]
+    return flags.replace("/", ", "), " ".join(filter(None, notes))
+
+
+def _parse_command(name: str, argv: list):
+    """``name``'s arguments as a namespace and the unrecognized ones, or None
+    once it printed its help."""
+    fn, about, arguments = _SUBCOMMANDS[name]
+    prog, spec = f"relcalc {name}", [_HELP, _OUTPUT, *arguments]
+    flags = {f: entry for entry in spec if entry[0][0] == "-" for f in entry[0].split("/")}
+    dest = {f: f.split("/")[-1].lstrip("-").replace("-", "_") for f, _ in spec}
+    defaults = {dest[f]: options.get("default") for f, options in spec[1:]}
+    args = SimpleNamespace(command=name, fn=fn, **defaults)
+    pending = [entry for entry in spec if entry[0][0] != "-"]
+    cut = argv.index("--") if "--" in argv else len(argv)  # the rest are values
+    items = [_option(prog, arg, flags) or arg for arg in argv[:cut]]
+    items += [None, *argv[cut + 1:]] * (cut < len(argv))  # None marks the "--"
+    extras, run, it = [], [], iter([*items, ()])
+    for item in it:
+        if not isinstance(item, tuple):
+            run.append(item)
+            continue
+        # The values before an option fill the waiting positionals in turn, one
+        # each or all that are left for nargs="+", a "--" going with its
+        # neighbours; what none takes is left over.
+        while pending and any(v is not None for v in run):
+            names, options = pending.pop(0)
+            stop = len(run) if "nargs" in options else 1 + (run[0] is None)
+            while stop < len(run) and run[stop] is None:
+                stop += 1
+            got = [_value(prog, names, options, v) for v in run[:stop] if v is not None]
+            setattr(args, names, got if "nargs" in options else got[0])
+            del run[:stop]
+        extras += ["--" if v is None else v for v in run]
+        run = []
+        if not item:
+            break
+        flag, attached = item
+        if flag is None:
+            extras.append(attached)
+            continue
+        names, options = flags[flag]
+        if names == _HELP[0] or "action" in options:
+            if attached is not None:
+                raise ParseError(f"{prog}: argument {names}: ignored explicit argument {attached!r}")
+            if names == _HELP[0]:
+                usage = [f + " ..." * ("nargs" in o) for f, o in arguments if f[0] != "-"]
+                usage = " ".join([prog, "[options]", *usage])
+                return _help(usage, about, [_describe(*entry) for entry in spec])
+            setattr(args, dest[names], True)
+            continue
+        if attached is None:
+            attached = next(it)
+            if not isinstance(attached, str):
+                raise ParseError(f"{prog}: argument {names}: expected one argument")
+        setattr(args, dest[names], _value(prog, names, options, attached))
+    if pending:
+        missing = ", ".join(names for names, _ in pending)
+        raise ParseError(f"{prog}: the following arguments are required: {missing}")
+    return args, extras
+
+
+def _parse(argv: list):
+    """The parsed command line, or None once it printed help.  Before the
+    subcommand only ``-h``/``--help`` is an option."""
+    extras = []
+    for i, arg in enumerate(argv):
+        item = arg != "--" and _option("relcalc", arg, ("-h", "--help"))
+        if not item:
+            break
+        if item[0] is None:
+            extras.append(arg)
+        elif item[1] is not None:
+            raise ParseError(f"relcalc: argument -h/--help: ignored explicit argument {item[1]!r}")
+        else:
+            commands = [(name, entry[1]) for name, entry in _SUBCOMMANDS.items()]
+            return _help("relcalc COMMAND [options] ...", _DESCRIPTION, commands)
+    else:
+        raise ParseError("relcalc: the following arguments are required: command")
+    _value("relcalc", "command", dict(choices=tuple(_SUBCOMMANDS)), arg)
+    args, more = _parse_command(arg, argv[i + 1:]) or (None, [])
+    if args and (extras or more):
+        raise ParseError(f"relcalc: unrecognized arguments: {' '.join(extras + more)}")
+    return args
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = build_parser(argv).parse_args(argv)
-        return args.fn(args)
+        args = _parse(list(argv))
+        return 0 if args is None else args.fn(args)
     except RelcalcError as exc:
         sys.stderr.write(json.dumps(exc.record(), sort_keys=True) + "\n")
         return exc.exit_code

@@ -1,14 +1,19 @@
 """Command-line behavior: outputs, determinism, exit codes."""
 
+import argparse
+import contextlib
+import io
 import json
 import random
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from relcalc import Subspace, cli, semi_projection
 from relcalc.cli import main
 from relcalc.documents import parse_document
+from relcalc.errors import ParseError
 
 
 def write(path, payload):
@@ -157,7 +162,7 @@ def test_parse_error_exit_code(tmp_path, capsys, monkeypatch):
     assert code == 2
     assert json.loads(err)["code"] == 2
 
-    # Ill-typed options: argparse errors become records, not usage text.
+    # Ill-typed options become error records, not usage text.
     for argv in (["fuzz", "--seed", "abc"], ["fuzz", "--dim", "x"]):
         code, _, err = run(capsys, *argv)
         assert code == 2
@@ -500,17 +505,148 @@ def _outcome(capsys, argv):
     return code, captured.out, captured.err
 
 
-def test_one_subcommand_parser_answers_as_the_full_parser(capsys, monkeypatch):
-    """``main`` builds only the named subcommand's parser; its help, usage
-    errors and exit codes are those of the parser with every subcommand."""
-    full = cli.build_parser()
-    names = list(full._subparsers._group_actions[0].choices)
-    assert names == list(cli._SUBCOMMANDS)
-    cases = [[name, "--help"] for name in names]
-    cases += [[name, "--no-such-option"] for name in names]
-    one = [_outcome(capsys, argv) for argv in cases]
-    assert all(len(cli.build_parser(argv)._subparsers._group_actions[0].choices) == 1
-               for argv in cases)
-    monkeypatch.setattr(cli, "build_parser", lambda argv=None: full)
-    assert [_outcome(capsys, argv) for argv in cases] == one
-    assert [code for code, _, _ in one] == [0] * len(names) + [2] * len(names)
+def test_every_subcommand_answers_help_and_unknown_options(capsys):
+    for name in cli._SUBCOMMANDS:
+        code, out, err = _outcome(capsys, [name, "--help"])
+        assert (code, err) == (0, "") and out.startswith(f"usage: relcalc {name} [options]")
+        code, out, err = _outcome(capsys, [name, "--no-such-option"])
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and json.loads(err)["code"] == 2
+    code, out, err = _outcome(capsys, ["--help"])
+    assert (code, err) == (0, "")
+    assert [line.split()[0] for line in out.splitlines()[4:]] == list(cli._SUBCOMMANDS)
+
+
+def reference_parser():
+    """The standard library's parser, built from ``cli._SUBCOMMANDS``: the
+    reference that ``cli._parse`` reads every command line by."""
+
+    class Reference(argparse.ArgumentParser):
+        def error(self, message):
+            raise ParseError(f"{self.prog}: {message}")
+
+    parser = Reference(prog="relcalc")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (fn, about, arguments) in cli._SUBCOMMANDS.items():
+        command = sub.add_parser(name, help=about)
+        command.set_defaults(fn=fn)
+        for flags, options in [cli._OUTPUT, *arguments]:
+            if options.get("type") is cli._integer:
+                options = {**options, "type": reference_integer}
+            command.add_argument(*flags.split("/"), **options)
+    return parser
+
+
+def reference_integer(text):
+    """``cli._integer`` as the reference parser's type: a bad value raises
+    the reference's own error, so that it prefixes the argument's name."""
+    try:
+        return cli._integer(text)
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(exc.message) from None
+
+
+REFERENCE = reference_parser()
+VALUES = [
+    "a.rel", "b.rel", "-", "", "--", "-3", "-.5", "-1.", "-1e-9", "1e-9", "nan",
+    "+4", "٣", "1_0", " 2 ", "x y", "-x y", "-٣", "pmn", "pmns", "min", "max", "bad",
+    "kernel", "range", "kern",
+]
+JUNK = ["--no-such-option", "-x", "--=x", "-h", "--help", "--he", "-hh", "-ho", "-o", "--"]
+
+
+def spellings(flags):
+    """An option's flags and every prefix of its long flag, unique or not."""
+    names = flags.split("/")
+    return names + [name[:k] for name in names if name[:2] == "--" for k in range(3, len(name))]
+
+
+@st.composite
+def option_args(draw, flags, options):
+    flag = draw(st.sampled_from(spellings(flags)))
+    if "action" in options:
+        return draw(st.sampled_from([[flag], [flag + "=x"], [flag + "="]]))
+    value = draw(st.sampled_from(VALUES))
+    form = draw(st.sampled_from(("apart", "apart", "equals", "attached", "missing")))
+    if form == "equals":
+        return [f"{flag}={value}"]
+    if form == "attached" and flag[1] != "-":
+        return [flag + value]
+    return [flag] if form == "missing" else [flag, value]
+
+
+@st.composite
+def command_lines(draw):
+    """A subcommand's arguments in some order, the options repeated or
+    misspelt, then a few tokens dropped or inserted."""
+    name = draw(st.sampled_from(list(cli._SUBCOMMANDS)))
+    arguments = [cli._OUTPUT, *cli._SUBCOMMANDS[name][2]]
+    groups = []
+    for flags, options in arguments:
+        if flags[0] != "-":
+            count = draw(st.integers(1, 4)) if "nargs" in options else 1
+            values = ["a.rel", "b.rel", "-3", "-", *options.get("choices", ())]
+            groups += [[draw(st.sampled_from(values))] for _ in range(count)]
+    for flags, options in arguments:
+        if flags[0] == "-":
+            for _ in range(draw(st.integers(0, 2))):
+                at = draw(st.integers(0, len(groups)))
+                groups.insert(at, draw(option_args(flags, options)))
+    argv = [arg for group in groups for arg in group]
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(argv)))
+        if draw(st.booleans()) and at < len(argv):
+            del argv[at]
+        else:
+            argv.insert(at, draw(st.sampled_from(VALUES + JUNK)))
+    head = draw(st.sampled_from(([name],) * 6 + ([], ["-x", name], ["--", name], ["bogus"],
+                                                  ["-h", name], ["--he"], ["--help=x"])))
+    return head + argv
+
+
+def quirk(argv):
+    """The command lines on which ``cli._parse`` differs from the reference
+    on purpose: a ``--`` given as a value (after the first ``--``, or as the
+    text of an option such as ``-o--`` or ``--tol=--``), which the reference
+    drops, leaving an empty list as the value; and ``-h`` with characters
+    after it, which the reference splits into more short options."""
+    after = argv[argv.index("--") + 1:] if "--" in argv else []
+    return "--" in after or any(
+        arg != "--" and (arg.partition("=")[2] == "--" or arg == "-o--")
+        or arg[:2] == "-h" and len(arg) > 2 for arg in argv)
+
+
+def outcome(parse, argv):
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            args = parse(list(argv))
+    except SystemExit as exc:  # the reference's help
+        return "help", exc.code
+    except ParseError as exc:
+        return "error", exc.message
+    return ("help", 0) if args is None else ("ok", vars(args))
+
+
+@settings(max_examples=800, derandomize=True, deadline=None)
+@given(argv=command_lines())
+def test_parser_reads_argv_as_the_standard_parser(argv):
+    """Both parsers accept or reject alike, with the same values or the same
+    usage-error message, or both print help; ``cli._parse`` raises nothing
+    but ``ParseError`` on any command line."""
+    mine = outcome(cli._parse, argv)
+    if quirk(argv):
+        assert mine[0] in ("ok", "error", "help")
+    else:
+        assert mine == outcome(REFERENCE.parse_args, argv)
+
+
+def test_parser_quirks():
+    """The deliberate differences of ``quirk``: a literal ``--`` is a value,
+    and ``-h`` takes no characters after it."""
+    assert cli._parse(["compose", "a", "--", "--"]).right == "--"
+    assert cli._parse(["classify", "x", "-o--"]).output == "--"
+    with pytest.raises(ParseError, match="invalid float value: '--'"):
+        cli._parse(["angles", "a", "b", "--tol=--"])
+    for argv in (["classify", "x", "-hh"], ["-hh"], ["build", "-ho", "f", "pmn", "a"]):
+        with pytest.raises(ParseError, match="ignored explicit argument"):
+            cli._parse(argv)

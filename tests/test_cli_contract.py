@@ -130,6 +130,18 @@ def spoil_scalar(draw, doc, bad):
         body["generators"] = [[[bad], []]]
 
 
+def pad_scalar(draw, doc):
+    """Surround one scalar with spaces, or put a padded one in place."""
+    paths = scalar_paths(doc)
+    if not paths:
+        return spoil_scalar(draw, doc, " 1 ")
+    target = doc
+    *keys, last = draw(st.sampled_from(paths))
+    for key in keys:
+        target = target[key]
+    target[last] = draw(st.sampled_from((" {} ", "{} ", " {}", "\t{}\n"))).format(target[last])
+
+
 def drop_key(draw, doc):
     del doc[draw(st.sampled_from(sorted(doc)))]
 
@@ -137,6 +149,11 @@ def drop_key(draw, doc):
 def duplicate_key(draw, doc):
     key = draw(st.sampled_from(sorted(doc)))
     return dumps_pairs([*doc.items(), (key, doc[key])]).encode()
+
+
+def rename_key(draw, doc):
+    key = draw(st.sampled_from(sorted(doc)))
+    doc[draw(st.sampled_from((key.upper(), key + "s", key[:-1], "_" + key)))] = doc.pop(key)
 
 
 def wrong_type(draw, doc):
@@ -168,9 +185,12 @@ def wrong_field(key, *choices):
 # bytes to write instead.
 MUTATIONS = {
     "drop-key": drop_key,
+    "rename-key": rename_key,
     "duplicate-key": duplicate_key,
     "wrong-type": wrong_type,
     "zero-denominator": bad_scalar("1/0", "1/0i", "2+1/0i"),
+    "negative-denominator": bad_scalar("1/-2", "-1/-2", "1/-2i", "1+1/-2i"),
+    "padded-scalar": pad_scalar,
     "non-ascii-digits": bad_scalar("١", "1/٢", "٣i", "１"),
     "past-digit-limit": bad_scalar("1" * (DIGIT_LIMIT + 1), "1/" + "2" * (DIGIT_LIMIT + 1)),
     "not-a-scalar-string": bad_scalar("0.5", "1e3", 2, "", " "),
@@ -190,9 +210,10 @@ def run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def check_contract(name, texts):
-    """Run the case ``name`` on input files holding ``texts``; check the
-    exit code, stderr and the output file."""
+def check_contract(name, texts, mutate=None):
+    """Run the case ``name`` on input files holding ``texts``, with its
+    command line edited by ``mutate``; check the exit code, stderr and the
+    output file."""
     flags, _ = COMMANDS[name]
     command = name.split("-")[0] if name.startswith(("triple-", "build-")) else name
     with tempfile.TemporaryDirectory() as tmp:
@@ -207,7 +228,10 @@ def check_contract(name, texts):
             argv = [command, *flags, *paths]
         else:
             argv = [command, *paths, *flags]
-        code, stdout, stderr = run(argv + ["-o", output])
+        argv += ["-o", output]
+        if mutate is not None:
+            argv = mutate(argv, tmp)
+        code, stdout, stderr = run(argv)
         assert code in (0, 2, 3, 4), (argv, stderr)
         assert stdout == ""
         written = None
@@ -262,3 +286,37 @@ def test_mutated_documents_keep_the_contract(mutation, data):
     doc = json.loads(texts[i])
     texts[i] = MUTATIONS[mutation](data.draw, doc) or json.dumps(doc).encode()
     check_contract(name, texts)
+
+
+def insert_args(*choices):
+    """Put one of ``choices`` (a list of arguments) somewhere after the
+    subcommand."""
+
+    def mutate(draw, argv, tmp):
+        at = draw(st.integers(1, len(argv)))
+        return argv[:at] + [a.format(tmp=tmp) for a in draw(st.sampled_from(choices))] + argv[at:]
+
+    return mutate
+
+
+# Each edits a valid command line: a list of arguments goes in somewhere.
+ARGV_MUTATIONS = {
+    "unknown-option": insert_args(["--no-such-option"], ["-x"], ["--output-file=x"]),
+    "option-without-value": lambda draw, argv, tmp: argv + [
+        draw(st.sampled_from(("-o", "--output", "--tol", "--kind", "--dim", "--checks")))],
+    "non-ascii-dim": insert_args(["--dim", "٣"], ["--dim=٤"], ["--dim", "１"]),
+    "tol-nan": insert_args(["--tol", "nan"], ["--tol=NaN"]),
+    "tol-negative": insert_args(["--tol=-1"], ["--tol", "-1"], ["--tol=-1e-9"]),
+    "extra-positional": insert_args(["{tmp}/extra.json"], ["extra"], ["-3"]),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(ARGV_MUTATIONS))
+@settings(SETTINGS, max_examples=15)
+@given(data=st.data())
+def test_mutated_command_lines_keep_the_contract(mutation, data):
+    name = data.draw(st.sampled_from(sorted(COMMANDS)))
+    docs = data.draw(inputs(COMMANDS[name][1]))
+    mutate = ARGV_MUTATIONS[mutation]
+    check_contract(name, [json.dumps(doc).encode() for doc in docs],
+                   lambda argv, tmp: mutate(data.draw, argv, tmp))

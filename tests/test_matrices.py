@@ -81,3 +81,29 @@ def test_nullspace_vectors_annihilate(m):
     assert len(basis) == width - len(rref(rows, width)[0])
     for v in basis:
         assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in rows)
+
+
+def test_ints_to_row_keeps_its_fractions(monkeypatch):
+    """``ints_to_row`` gives the same scalars as ever, and each part that it
+    builds as a ``Fraction`` is the part of the scalar, not a copy of it."""
+    from fractions import Fraction
+
+    from relcalc import matrices
+
+    made = []
+
+    def fraction(*args):
+        made.append(Fraction(*args))
+        return made[-1]
+
+    monkeypatch.setattr(matrices, "Fraction", fraction)
+    row = ints_to_row((6, (3, -4, 0), (0, 2, 5)))
+    assert row == (
+        GaussianRational(Fraction(1, 2)),
+        GaussianRational(Fraction(-2, 3), Fraction(1, 3)),
+        GaussianRational(0, Fraction(5, 6)),
+    )
+    assert [str(z) for z in row] == ["1/2", "-2/3+1/3i", "0+5/6i"]
+    parts = [part for z in row for part in (z.re, z.im) if part]
+    assert len(parts) == 4 and all(any(part is m for m in made) for part in parts)
+    assert all(type(part) is Fraction for z in row for part in (z.re, z.im))

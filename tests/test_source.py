@@ -177,6 +177,56 @@ def test_none_row_detector(tmp_path):
     ]
 
 
+# Standard-library modules that no module of the package imports: the
+# command-line parser loads gettext and locale with it, where ``cli`` reads
+# its command line from the subcommand table (``tests/test_cli.py`` keeps it
+# as the reference).
+BANNED_IMPORTS = {"argparse"}
+
+
+def banned_imports(path):
+    """``file:line module`` for each import of a module in ``BANNED_IMPORTS``
+    in ``path``, at any depth and by ``import_module`` or ``__import__``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module or ""]
+        elif isinstance(node, ast.Call) and getattr(
+            node.func, "id", getattr(node.func, "attr", None)
+        ) in ("import_module", "__import__"):
+            names = [a.value for a in node.args[:1] if isinstance(a, ast.Constant)]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names
+                  if str(name).partition(".")[0] in BANNED_IMPORTS]
+    return [f"{path.name}:{line} {name}" for line, name in sorted(found)]
+
+
+def test_no_banned_imports():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert [hit for path in modules for hit in banned_imports(path)] == []
+
+
+def test_banned_import_detector(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "import argparse\nimport json, argparse as ap\nfrom argparse import Namespace\n"
+        "def f():\n    import argparse.x\n    return __import__('argparse')\n"
+        "import importlib\nimportlib.import_module('argparse')\n"
+        "from . import argparse_notes\nimport argparser\n"
+    )
+    assert banned_imports(bad) == [
+        "bad.py:1 argparse",
+        "bad.py:2 argparse",
+        "bad.py:3 argparse",
+        "bad.py:5 argparse.x",
+        "bad.py:6 argparse",
+        "bad.py:8 argparse",
+    ]
+
+
 def test_every_public_name_resolves():
     """The package loads its modules on first use of a public name; every
     name in ``__all__`` resolves to the object its module defines."""
@@ -243,7 +293,7 @@ import sys
 HEAVY = (
     "numpy", "dataclasses", "inspect", "fractions", "decimal",
     "relcalc.idempotents", "relcalc.angles", "relcalc.verifier", "relcalc.checks",
-    "hashlib", "_hashlib",
+    "hashlib", "_hashlib", "argparse", "gettext", "locale",
 )
 rel, witness_rel, sub, out, listing = sys.argv[1:]
 stages = {}
@@ -289,7 +339,9 @@ def test_cold_path_imports(tmp_path):
     ``inspect``, which no other subcommand loads. No subcommand loads
     ``hashlib`` and with it OpenSSL: the fuzz streams take SHA-256 from
     CPython's built-in module (``_sha2``, or ``_sha256`` before 3.12), and
-    only an interpreter built without either may fall back to ``hashlib``."""
+    only an interpreter built without either may fall back to ``hashlib``.
+    No subcommand loads ``argparse``, or ``gettext`` and ``locale`` with it:
+    ``cli`` reads the command line itself."""
 
     def relation(path, generators):
         path.write_text(
