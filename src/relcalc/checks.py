@@ -54,6 +54,18 @@ from .verifier import (
 )
 
 
+def _inner(u, v):
+    """<u, v> = sum u_k conj(v_k) of two (re, im) integer vectors, as an
+    (re, im) pair.  The conjugate is written out here, not taken from
+    ``_rowops``, so that a fault in the kernel's conjugation shows."""
+    (ure, uim), (vre, vim) = u, v
+    terms = list(zip(ure, uim, vre, vim))
+    return (
+        sum(a * c + b * d for a, b, c, d in terms),
+        sum(b * c - a * d for a, b, c, d in terms),
+    )
+
+
 # -- section 2: the relation vocabulary --------------------------------------
 
 
@@ -149,6 +161,12 @@ def check_adjoint_parts(rng, cfg):
         return ce("dom T* is not (mul T)-perp", t=t)
     if a.adjoint() != t:
         return ce("T** differs from T", t=t)
+    n, m = t.dim_in, t.dim_out
+    for _, re, im in t.graph._rows:
+        f, g = (re[:n], im[:n]), (re[n:], im[n:])
+        for _, are, aim in a.graph._rows:
+            if _inner(g, (are[:m], aim[:m])) != _inner(f, (are[m:], aim[m:])):
+                return ce("<g, x> != <f, y> for (f, g) in T, (x, y) in T*", t=t)
     if t.closure() != t or a.closure() != a:
         return ce("closure moved a relation", t=t)
     return None
@@ -213,6 +231,11 @@ def check_demorgan(rng, cfg):
         return ce("(S1 meet S2)-perp mismatch", s1=s1, s2=s2)
     if s1.perp().perp() != s1:
         return ce("double complement moved the subspace", s1=s1)
+    perp_rows = s1.perp()._rows
+    for _, re, im in s1._rows:
+        for _, pre, pim in perp_rows:
+            if _inner((re, im), (pre, pim)) != (0, 0):
+                return ce("S1-perp is not orthogonal to S1", s1=s1)
     inter = s1.intersect(s2)
     if s1.sum_with(s2).dim + inter.dim != s1.dim + s2.dim:
         return ce("modular dimension law failed", s1=s1, s2=s2)

@@ -260,11 +260,10 @@ def classify(e: LinearRelation) -> Classification:
         witnesses["not_below_square"] = _graph_witness(e, e2)
 
     is_idempotent = sub_def and super_def
-    is_semi = e == semi_projection(parts.ran, parts.ker)
+    semi = semi_projection(parts.ran, parts.ker)
+    is_semi = e == semi
     if not is_semi and is_idempotent:
-        witness = _graph_witness(e, semi_projection(parts.ran, parts.ker))
-        if witness is None:
-            witness = _graph_witness(semi_projection(parts.ran, parts.ker), e)
+        witness = _graph_witness(e, semi) or _graph_witness(semi, e)
         witnesses["not_semi_projection"] = witness
     is_operator = parts.mul.is_zero()
     return Classification(

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from . import _rowops
 from .errors import DimensionError
-from .subspaces import Subspace, _read_off, involution, memo, memoized
+from .subspaces import Subspace, _read_off, memoized
 
 
 class RelationParts(NamedTuple):
@@ -56,19 +56,13 @@ class LinearRelation:
 
     __slots__ = ("dim_in", "dim_out", "graph", "_hash")
 
-    def __new__(cls, dim_in: int, dim_out: int, graph: Subspace):
+    def __init__(self, dim_in: int, dim_out: int, graph: Subspace):
         if graph.ambient_dim != dim_in + dim_out:
             raise DimensionError(
                 f"graph ambient {graph.ambient_dim} != {dim_in} + {dim_out}"
             )
-        key = (dim_in, dim_out, graph)
-
-        def make():
-            obj = object.__new__(cls)
-            obj.dim_in, obj.dim_out, obj.graph, obj._hash = *key, hash(key)
-            return obj
-
-        return memo(key, make)
+        self.dim_in, self.dim_out, self.graph = dim_in, dim_out, graph
+        self._hash = hash((dim_in, dim_out, graph))
 
     # -- constructors ------------------------------------------------------
 
@@ -136,7 +130,8 @@ class LinearRelation:
         return self._hash
 
     def __reduce__(self):
-        # Copies and pickles go through the constructor, so they intern.
+        # Copies and pickles go through the constructor and its dimension
+        # check; the graph's own reduce interns it.
         return type(self), (self.dim_in, self.dim_out, self.graph)
 
     def __repr__(self) -> str:
@@ -196,7 +191,7 @@ class LinearRelation:
 
     # -- unary operations ----------------------------------------------------
 
-    @involution
+    @memoized
     def inverse(self) -> "LinearRelation":
         """Slot swap: {(y, x) : (x, y) in T}."""
         n, m = self.dim_in, self.dim_out
@@ -206,7 +201,7 @@ class LinearRelation:
         ]
         return LinearRelation(m, n, Subspace.from_int_rows(swapped, n + m))
 
-    @involution
+    @memoized
     def one_minus(self) -> "LinearRelation":
         """I - T = {(u, u - v) : (u, v) in T}; square relations only.
 

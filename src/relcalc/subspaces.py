@@ -14,16 +14,17 @@ from operator import sub
 from . import _rowops
 from .errors import DimensionError
 
-# The one cache of the value layer.  It interns subspaces and relations (one
-# object per value while the entry lasts) and holds the results of the
-# functions decorated with ``memoized`` or ``involution``.  Entries are
-# strong and the dict is emptied when it reaches the bound, so memory is
-# bounded and the work a run does depends only on the calls it makes.  An
-# evicted value stays correct: equality and hashing are by value, and a
-# re-created copy recomputes what it needs.  A fuzz trial builds fresh
-# random values, so the working set is one trial's: the bound is the
-# smallest power of two whose rref work stays within 1.5 % of an 8,192-entry
-# memo's on the fuzz workloads (README, "Library example").
+# The one cache of the value layer.  It interns subspaces (one object per
+# value while the entry lasts) and holds the results of the functions
+# decorated with ``memoized``.  Nothing else pays for an entry: relations
+# are plain values around an interned graph.  Entries are strong and the
+# dict is emptied when it reaches the bound, so memory is bounded and the
+# work a run does depends only on the calls it makes.  An evicted value
+# stays correct: equality and hashing are by value, and a re-created copy
+# recomputes what it needs.  A fuzz trial builds fresh random values, so
+# the working set is one trial's: the bound is the smallest power of two
+# whose rref work stays within 1.5 % of an 8,192-entry memo's on the fuzz
+# workloads (README, "Library example").
 MEMO_BOUND = 2048
 _memo: dict = {}
 
@@ -35,14 +36,6 @@ def _store(key, value):
     return value
 
 
-def memo(key, make):
-    """The value stored under ``key``; ``make()`` builds it on a miss."""
-    try:
-        return _memo[key]
-    except KeyError:
-        return _store(key, make())
-
-
 def memoized(fn):
     """Cache ``fn(*args)`` in the memo under ``(fn, *args)``."""
 
@@ -52,22 +45,6 @@ def memoized(fn):
             return _memo[(fn, *args)]
         except KeyError:
             return _store((fn, *args), fn(*args))
-
-    return wrapper
-
-
-def involution(fn):
-    """``memoized`` for an ``fn`` with fn(fn(x)) = x: a miss also stores x
-    as the value at the result."""
-
-    @functools.wraps(fn)
-    def wrapper(x):
-        try:
-            return _memo[fn, x]
-        except KeyError:
-            value = _store((fn, x), fn(x))
-            _store((fn, value), x)
-            return value
 
     return wrapper
 
@@ -92,7 +69,7 @@ class Subspace:
         # The value is its own memo key, so its rows are hashed once, in
         # the constructor, and not again by each dict operation.
         space = cls(ambient_dim, pivots, rows, _internal=True)
-        return memo(space, lambda: space)
+        return _memo.get(space) or _store(space, space)
 
     @classmethod
     def from_int_rows(cls, int_rows, ambient_dim: int) -> "Subspace":
@@ -191,7 +168,7 @@ class Subspace:
 
     __add__ = sum_with
 
-    @involution
+    @memoized
     def perp(self) -> "Subspace":
         """Orthogonal complement under <x, y> = sum x_k conj(y_k)."""
         # x is orthogonal to every basis row s iff conj(s) . x = 0;

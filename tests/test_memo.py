@@ -96,8 +96,8 @@ def test_eviction_never_changes_an_answer(monkeypatch):
 
 
 def test_pickles_hash_alike_in_another_process():
-    # An unpickled value is rebuilt through its constructor, so it is
-    # interned and its hash is recomputed from its rows.
+    # An unpickled value is rebuilt through its constructor, so its hash
+    # is recomputed from its rows.
     script = (
         "import pickle, sys\n"
         "from relcalc import LinearRelation\n"

@@ -239,8 +239,8 @@ def test_inverse_swaps_parts():
 @settings(max_examples=50)
 @given(relations())
 def test_inverse_involution(t):
-    # Computed through the undecorated function: the memo already holds t
-    # as the inverse of t.inverse().
+    # Computed through the undecorated function, so that no memo entry
+    # from an earlier example answers it.
     assert LinearRelation.inverse.__wrapped__(t.inverse()) == t
 
 
@@ -280,8 +280,8 @@ def test_one_minus_matches_pointwise_route(t):
 @settings(max_examples=80)
 @given(st.integers(1, 4).flatmap(lambda n: operands(n, n)))
 def test_one_minus_read_off_matches_int_rows(t):
-    # Computed through the undecorated function, so that the memo's entry
-    # for the involution does not answer it.
+    # Computed through the undecorated function, so that no memo entry
+    # from an earlier example answers it.
     u = LinearRelation.one_minus.__wrapped__(t)
     assert u == one_minus_by_int_rows(t)
     assert u.graph._pivots == t.graph._pivots == leading_columns(u.graph)

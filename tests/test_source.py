@@ -83,8 +83,8 @@ def test_no_test_only_methods():
     assert sorted(uncalled_methods(modules)) == sorted(UNCALLED_METHODS)
 
 
-# Cache mechanisms besides ``relcalc.subspaces.memo``: weak interning, the
-# collector tuning it needed, and functools' caches.
+# Cache mechanisms besides the value memo, ``relcalc.subspaces._memo``:
+# weak interning, the collector tuning it needed, and functools' caches.
 FORBIDDEN_MODULES = {"weakref", "gc"}
 FORBIDDEN_NAMES = {"lru_cache", "cache", "cached_property"}
 

@@ -148,8 +148,8 @@ def test_de_morgan(s1, s2):
 @settings(max_examples=80)
 @given(subspaces())
 def test_double_complement(s):
-    # The memo stores s as the complement of s.perp(); the undecorated
-    # function computes the second complement instead of looking it up.
+    # The undecorated function computes the second complement, so that no
+    # memo entry from an earlier example answers it.
     assert Subspace.perp.__wrapped__(s.perp()) == s
     assert s.dim + s.perp().dim == s.ambient_dim
     # contains/member eliminate on the stored pivots, so they must be the

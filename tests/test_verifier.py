@@ -140,8 +140,11 @@ def test_report_bytes_are_stable():
 
 
 # Criterion-9 across commits: the SHA-256 of the report bytes of fixed
-# suites.  Any change to the generators' draws, a check's decisions or the
-# document format moves a digest.
+# suites.  A passing report holds the check names, the trial counts, the
+# outcomes, the config echo, the coverage table and the document format,
+# and these digests pin exactly that.  It holds no computed value, so a
+# change to the generators' draws need not move them; ``DRAWS_DIGEST`` pins
+# the values.
 REPORT_DIGESTS = [
     (
         {"ambient_dim": 4, "trials": 30, "seed": 1},
@@ -159,6 +162,59 @@ def test_report_digests_are_pinned(config, digest):
     report = verify_suite(GenConfig(**config))
     text = serialize_document(wrap(report.json_dict()))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# SHA-256 over the documents of every value the ``random_*`` generators
+# return during the suites of ``REPORT_DIGESTS``, one JSON line each, in
+# the order they are drawn.  It moves when a draw or a generator's
+# canonical output moves, and not when a production route changes.
+DRAWS_DIGEST = "e14c86842313b3b5a64914e6b8999d7a390d42cf1d9a5059987c2be8ff450d38"
+
+
+def test_draws_digest_is_pinned(monkeypatch):
+    from relcalc import checks, verifier
+
+    digest = hashlib.sha256()
+    count = 0
+
+    def recording(fn):
+        def wrapper(*args, **kwargs):
+            nonlocal count
+            value = fn(*args, **kwargs)
+            text = json.dumps(verifier._doc(value), sort_keys=True)
+            digest.update(text.encode() + b"\n")
+            count += 1
+            return value
+
+        return wrapper
+
+    # The generators call one another through ``verifier``'s globals, and
+    # the checks through their own imported names.
+    for module in (verifier, checks):
+        for name in dir(module):
+            if name.startswith("random_"):
+                fn = getattr(module, name)
+                monkeypatch.setattr(module, name, recording(fn))
+    for config, _ in REPORT_DIGESTS:
+        verify_suite(GenConfig(**config))
+    assert count == 5845
+    assert digest.hexdigest() == DRAWS_DIGEST
+
+
+def test_checks_see_a_bilinear_inner_product(monkeypatch):
+    # With conjugation gone, perp and the adjoint follow the bilinear form
+    # consistently, so every lattice and adjoint identity still holds; only
+    # the inner product itself, written out in the checks, tells them apart.
+    from relcalc import _rowops
+
+    monkeypatch.setattr(_rowops, "conjugate_row", lambda row: row)
+    monkeypatch.setattr("relcalc.subspaces._memo", {})
+    cfg = GenConfig(ambient_dim=4, trials=10, seed=1)
+    report = verify_suite(cfg, ["subspace_demorgan", "adjoint_parts"])
+    assert [c.name for c in report.checks if c.failures] == [
+        "subspace_demorgan",
+        "adjoint_parts",
+    ]
 
 
 def test_report_structure():
