@@ -884,9 +884,8 @@ def check_angle_monotonicity(rng, cfg):
     w = random_subspace(rng, cfg)
     meet = w.intersect(s)
     extra_pool = w.relative_complement(s)
-    extra_vectors = extra_pool.basis_vectors()
-    keep = [v for v in extra_vectors if rng.randrange(2)]
-    t = meet.sum_with(Subspace.span(keep, cfg.ambient_dim))
+    keep = [row for row in extra_pool._rows if rng.randrange(2)]
+    t = meet.sum_with(Subspace.from_int_rows(keep, cfg.ambient_dim))
     if t.intersect(s) != meet:
         return ce("nested construction changed the intersection", s=s, w=w)
     if friedrichs_cos(t, s, cfg.tol) > friedrichs_cos(w, s, cfg.tol) + 1e-9:

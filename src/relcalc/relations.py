@@ -4,11 +4,11 @@ A relation T from F^n to F^m is stored purely as the canonical graph
 subspace; domain, range, kernel and multivalued part are derived on demand
 and held in the memo of :mod:`relcalc.subspaces`: one source of truth.
 They are read off the canonical rows of the graph and of the inverse's
-graph without a new echelon form, as are I - T and the adjoint's condition
-rows.  The meet is the intersection of the graphs.  Composition and the
-pointwise sum reduce one operand's generators against the other's graph and
-read the result off one echelon form of the residual rows, as the
-intersection does.
+graph without a new echelon form, as are I - T and the rows of -T^-1, whose
+orthogonal complement (``Subspace.perp``) is the adjoint.  The meet is the
+intersection of the graphs.  Composition and the pointwise sum reduce one
+operand's generators against the other's graph and read the result off one
+echelon form of the residual rows, as the intersection does.
 """
 
 from __future__ import annotations
@@ -233,29 +233,25 @@ class LinearRelation:
 
     @memoized
     def adjoint(self) -> "LinearRelation":
-        """T* = {(x, y) : <g, x> = <f, y> for all (f, g) in T}.
+        """T* = {(x, y) : <g, x> = <f, y> for all (f, g) in T} = (-T^-1)^perp.
 
-        Each graph generator (f, g) imposes one linear condition on
-        (x, y) in F^m x F^n, the conjugated row (conj(g), -conj(f)); T* is
-        the exact null space of those rows.  They are read off the canonical
-        rows (g, f) of the inverse's graph: conjugate each, and flip the
-        second block's sign in those pivoting in the first m columns.  The
-        rows that pivot later are zero in the first block, so the result is
-        still in RREF on the same pivots and needs no ``rref``.
+        (x, y) meets the condition of (f, g) exactly when it is orthogonal
+        to (g, -f), a vector of the graph of -T^-1.  Those rows are read off
+        the canonical rows (g, f) of the inverse's graph: the second block
+        is negated in the rows pivoting in the first m columns, and a row
+        pivoting later, zero in the first block, spans the same line as it
+        is.  The rows stay in RREF on the same pivots, so no ``rref`` runs.
         """
         m = self.dim_out
         inverse = self.inverse().graph
-        cond_rows = []
-        for row, p in zip(inverse._rows, inverse._pivots):
-            den, re, im = _rowops.conjugate_row(row)
+        rows = []
+        for (den, re, im), p in zip(inverse._rows, inverse._pivots):
             if p < m:
                 re = re[:m] + tuple(map(neg, re[m:]))
                 im = im[:m] + tuple(map(neg, im[m:]))
-            cond_rows.append((den, re, im))
-        width = inverse.ambient_dim
-        pivots, rows = _rowops.nullspace(inverse._pivots, cond_rows, width)
-        graph = Subspace._from_rref(width, pivots, rows)
-        return LinearRelation(m, self.dim_in, graph)
+            rows.append((den, re, im))
+        flipped = Subspace._from_rref(inverse.ambient_dim, inverse._pivots, rows)
+        return LinearRelation(m, self.dim_in, flipped.perp())
 
     # -- binary operations -----------------------------------------------------
 

@@ -1,0 +1,65 @@
+"""Golden CLI corpus: the cli-cold operation mixes of seeds 1-3, replayed.
+
+``tests/golden/seed{1,2,3}/`` hold the input documents of the benchmark's
+cli-cold mixes (``perfbench/climix.py`` ``build_mix``): 72 operations that
+cover every subcommand, every ``build`` form, both triple kinds, and the
+inputs that exit 2, 3 and 4.  ``manifest.json`` records, for each, the argv
+(input paths relative to ``tests/golden``), the exit code and the SHA-256 of
+stdout, stderr and the ``-o`` output file (``null`` when none is written).
+
+The operations run in-process through ``relcalc.cli.main``.  ``angles``
+prints floats, so its output file is not hashed: the manifest holds the
+record, whose dimensions, ``intersection_dim`` and ``tol`` must match
+exactly and whose two cosines must match to 1e-12.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from relcalc import cli
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+MANIFEST = json.loads((GOLDEN / "manifest.json").read_text(encoding="utf-8"))
+COSINES = ("dixmier_cos", "friedrichs_cos")
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_corpus_covers_the_mix():
+    assert len(MANIFEST) == 72
+    kinds = {entry["kind"] for entry in MANIFEST}
+    assert {"angles", "triple", "ic", "parse-error", "shape-error"} <= kinds
+    assert {entry["exit"] for entry in MANIFEST} == {0, 2, 3, 4}
+
+
+def test_golden_corpus_replays(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(GOLDEN)
+    differ = []
+    for i, entry in enumerate(MANIFEST):
+        out = tmp_path / f"out{i:03d}.txt"
+        code = cli.main([*entry["argv"], "-o", str(out)])
+        captured = capsys.readouterr()
+        got = {
+            "exit": code,
+            "stdout": _sha(captured.out.encode()),
+            "stderr": _sha(captured.err.encode()),
+            "output": None,
+        }
+        if out.exists():
+            got["output"] = _sha(out.read_bytes())
+            if entry["kind"] == "angles":
+                record = json.loads(out.read_text(encoding="utf-8"))
+                want = entry["output"]
+                for key in COSINES:
+                    assert record.pop(key) == pytest.approx(want[key], abs=1e-12)
+                assert record == {k: v for k, v in want.items() if k not in COSINES}
+                got["output"] = want
+        want = {key: entry[key] for key in got}
+        if got != want:
+            differ.append((i, entry["argv"], got, want))
+    assert not differ
