@@ -25,20 +25,15 @@ _REDUCE_BOUND = 1 << 48
 
 # The all-zero ``im`` of each width up to 64, which every real row this
 # module returns at such a width shares: the memo holds thousands of rows,
-# and one tuple per row would make them larger and the whole run slower.
+# and one tuple per row would make them larger.
 _ZEROS = tuple((0,) * width for width in range(65))
 
 
 def zeros(width):
     """The all-zero tuple of length ``width``.  Up to width 64 it is the one
-    shared by the real rows of this module, which it recognises without a
-    scan."""
+    shared by the real rows of this module.  The sharing only saves memory:
+    every test for a real row scans its ``im``."""
     return _ZEROS[width] if width < len(_ZEROS) else (0,) * width
-
-
-def make_row(re, im):
-    """Integer row with denominator 1 and tuple components."""
-    return (1, tuple(re), tuple(im))
 
 
 def reduced_row(den, re, im):
@@ -69,17 +64,9 @@ def _eliminate(den, pre, pim, dr, vre, vim, col):
     c = vre[col]
     d = vim[col] if vim is not None else 0
     if d == 0:
-        if den == 1:
-            nre = [x - c * u for x, u in zip(vre, pre)]
-        else:
-            nre = [den * x - c * u for x, u in zip(vre, pre)]
+        nre = [den * x - c * u for x, u in zip(vre, pre)]
         if pim is None:
-            if vim is None:
-                nim = None
-            elif den == 1:
-                nim = list(vim)
-            else:
-                nim = [den * y for y in vim]
+            nim = None if vim is None else [den * y for y in vim]
         else:
             base = vim if vim is not None else (0,) * len(vre)
             nim = [den * y - c * w for y, w in zip(base, pim)]
@@ -133,12 +120,9 @@ def rref(rows, width):
     column indices in increasing order.  Each row is cleared by
     :func:`_eliminate`, the same step :func:`member` uses.
     """
-    # Real rows this module returned share their zero ``im``, which is
-    # recognised without a scan.
-    zero = zeros(width)
     work = []
     for den, re, im in rows:
-        if im is zero or (im is not None and not any(im)):
+        if im is not None and not any(im):
             im = None
         if any(re) or im is not None:
             work.append((den, list(re), list(im) if im is not None else None))
@@ -163,11 +147,10 @@ def rref(rows, width):
                 work[r] = _eliminate(den, pre, pim, dr, vre, vim, col)
         pivots.append(col)
         prow += 1
-        if prow == m:
-            break
     # Lazy elimination can leave shared content behind; canonical uniqueness
     # requires one full reduction per surviving row.  A pivot row with den 1
     # has leading entry exactly 1, hence content 1 already.
+    zero = zeros(width)
     out = []
     for den, re, im in work[:prow]:
         if den != 1:
@@ -203,19 +186,24 @@ def nullspace(pivots, rows, width):
 
 
 def residual(pivots, rows, vec):
-    """``vec`` with its pivot-column entries eliminated against canonical
-    ``rows``: zero in every pivot column, and zero exactly when ``vec`` lies
-    in their row space.  Needs each pivot to be the leading nonzero column
-    of its row."""
+    """``vec`` with its pivot-column entries eliminated against ``rows``:
+    zero in every pivot column, and zero exactly when ``vec`` lies in their
+    row space.
+
+    Precondition: the rows are in reduced echelon form on ``pivots``
+    (each zero in every other row's pivot column), as :func:`rref` returns
+    them, so the residual is v - sum_k v[p_k] * row_k.  Every caller passes
+    such rows: a subspace's canonical basis (:func:`member`,
+    ``subspaces._sum``, ``subspaces._read_off``), or the canonical graph
+    rows that pivot in the second block (``LinearRelation.one_minus``)."""
     dv, vre, vim = vec
-    zero = zeros(len(vre))
-    if vim is zero or not any(vim):
+    if not any(vim):
         vim = None
     for (den, re, im), col in zip(rows, pivots):
         if vre[col] or (vim is not None and vim[col]):
-            pim = None if im is zero or not any(im) else im
+            pim = im if any(im) else None
             dv, vre, vim = _eliminate(den, re, pim, dv, vre, vim, col)
-    return dv, vre, zero if vim is None else vim
+    return dv, vre, zeros(len(vre)) if vim is None else vim
 
 
 def member(pivots, rows, vec) -> bool:

@@ -8,21 +8,19 @@ values cross into that form and back.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from . import _rowops
+from .documents import _int_row
 from .scalars import GaussianRational, as_scalar
 
 
 def row_to_ints(entries) -> _rowops.Row:
-    """Scale one row of scalars to the integer ``(den, re, im)`` form."""
-    scalars = [as_scalar(e) for e in entries]
-    den = 1
-    for z in scalars:
-        den = lcm(den, z.re.denominator, z.im.denominator)
-    re = [int(z.re * den) for z in scalars]
-    im = [int(z.im * den) for z in scalars]
-    return (den, tuple(re), tuple(im))
+    """Scale one row of scalars to the integer ``(den, re, im)`` form over
+    one lcm of their denominators, as documents scale parsed entries."""
+    return _int_row([
+        (z.re.numerator, z.re.denominator, z.im.numerator, z.im.denominator)
+        for z in map(as_scalar, entries)
+    ])
 
 
 def ints_to_row(row: _rowops.Row) -> tuple[GaussianRational, ...]:

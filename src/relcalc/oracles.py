@@ -16,7 +16,7 @@ from __future__ import annotations
 from . import _rowops
 from .errors import DimensionError
 from .idempotents import _require_same_ambient, super_form
-from .relations import LinearRelation, _combine_rows
+from .relations import LinearRelation
 from .subspaces import Subspace
 
 
@@ -53,14 +53,38 @@ def _coefficient_nullspace(rows1, rows2, width):
     gens = [(re, im, 1) for _, re, im in rows1]
     gens += [(re, im, -1) for _, re, im in rows2]
     eq_rows = [
-        _rowops.make_row(
-            [sign * re[c] for re, _, sign in gens],
-            [sign * im[c] for _, im, sign in gens],
+        (
+            1,
+            tuple(sign * re[c] for re, _, sign in gens),
+            tuple(sign * im[c] for _, im, sign in gens),
         )
         for c in range(width)
     ]
     pivots, rows = _rowops.rref(eq_rows, len(gens))
     return _rowops.nullspace(pivots, rows, len(gens))[1]
+
+
+def _combine_rows(coeff_rows, blocks_list, width):
+    """Integer-linear combinations of integer vectors.
+
+    ``coeff_rows``: canonical rows over the coefficient space; entry j
+    multiplies ``blocks_list[j]`` (a pair of integer re/im tuples of length
+    ``width``).  Denominators scale the whole row and are irrelevant for
+    spans, so they are dropped.
+    """
+    out = []
+    for _, cre, cim in coeff_rows:
+        re = [0] * width
+        im = [0] * width
+        for a, b, (bre, bim) in zip(cre, cim, blocks_list):
+            if not a and not b:
+                continue
+            for k in range(width):
+                x, y = bre[k], bim[k]
+                re[k] += a * x - b * y
+                im[k] += a * y + b * x
+        out.append((1, tuple(re), tuple(im)))
+    return out
 
 
 def compose_by_slot_elimination(

@@ -28,29 +28,6 @@ class RelationParts(NamedTuple):
     mul: Subspace
 
 
-def _combine_rows(coeff_rows, blocks_list, width):
-    """Integer-linear combinations of integer vectors.
-
-    ``coeff_rows``: canonical rows over the coefficient space; entry j
-    multiplies ``blocks_list[j]`` (a pair of integer re/im tuples of length
-    ``width``).  Denominators scale the whole row and are irrelevant for
-    spans, so they are dropped.
-    """
-    out = []
-    for _, cre, cim in coeff_rows:
-        re = [0] * width
-        im = [0] * width
-        for a, b, (bre, bim) in zip(cre, cim, blocks_list):
-            if not a and not b:
-                continue
-            for k in range(width):
-                x, y = bre[k], bim[k]
-                re[k] += a * x - b * y
-                im[k] += a * y + b * x
-        out.append(_rowops.make_row(re, im))
-    return out
-
-
 class LinearRelation:
     """A linear relation from F^dim_in to F^dim_out."""
 

@@ -30,7 +30,8 @@ from .idempotents import (
     sub_form,
     super_form,
 )
-from .relations import LinearRelation, _combine_rows
+from .oracles import _combine_rows
+from .relations import LinearRelation
 from .subspaces import Subspace
 
 try:  # CPython's own SHA-256, which hashlib falls back to, without OpenSSL

@@ -11,6 +11,14 @@ The operations run in-process through ``relcalc.cli.main``.  ``angles``
 prints floats, so its output file is not hashed: the manifest holds the
 record, whose dimensions, ``intersection_dim`` and ``tol`` must match
 exactly and whose two cosines must match to 1e-12.
+
+``tests/golden/edge/`` holds hand-written documents and their own manifest,
+in the same format: dims 0, 1 and 2, real and complex entries, zero and full
+spaces, rectangular 0->1, 1->0, 1->2 and 2->1 relations and both triple
+kinds, under every subcommand and every ``build``, ``triple``,
+``convert-triple`` and ``ic`` form.  Its values were checked by hand; for
+example, the full 0->1 relation composed after the full 1->0 one is the full
+1->1 relation.
 """
 
 import hashlib
@@ -23,6 +31,7 @@ from relcalc import cli
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 MANIFEST = json.loads((GOLDEN / "manifest.json").read_text(encoding="utf-8"))
+EDGE = json.loads((GOLDEN / "edge" / "manifest.json").read_text(encoding="utf-8"))
 COSINES = ("dixmier_cos", "friedrichs_cos")
 
 
@@ -37,10 +46,29 @@ def test_corpus_covers_the_mix():
     assert {entry["exit"] for entry in MANIFEST} == {0, 2, 3, 4}
 
 
-def test_golden_corpus_replays(tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(GOLDEN)
+def test_edge_corpus_covers_every_form():
+    from relcalc.cli import _SUBCOMMANDS
+
+    assert {entry["argv"][0] for entry in EDGE} == set(_SUBCOMMANDS)
+    kinds = {entry["kind"] for entry in EDGE}
+    assert {f"build-{form}" for form in ("pmn", "pmns", "min", "max")} <= kinds
+    assert {"kernel", "range"} <= {
+        entry["argv"][-1] for entry in EDGE if entry["kind"] == "triple"
+    }
+    assert {entry["exit"] for entry in EDGE if entry["kind"] == "ic"} == {0, 4}
+    assert {entry["exit"] for entry in EDGE} == {0, 2, 3, 4}
+    triples = [
+        json.loads((GOLDEN / entry["argv"][1]).read_text(encoding="utf-8"))
+        for entry in EDGE
+        if entry["kind"] == "convert-triple"
+    ]
+    assert {"m" in doc for doc in triples} == {True, False}
+
+
+def replay(manifest, tmp_path, capsys):
+    """The entries whose exit code or hashes differ, with what they gave."""
     differ = []
-    for i, entry in enumerate(MANIFEST):
+    for i, entry in enumerate(manifest):
         out = tmp_path / f"out{i:03d}.txt"
         code = cli.main([*entry["argv"], "-o", str(out)])
         captured = capsys.readouterr()
@@ -62,4 +90,14 @@ def test_golden_corpus_replays(tmp_path, monkeypatch, capsys):
         want = {key: entry[key] for key in got}
         if got != want:
             differ.append((i, entry["argv"], got, want))
-    assert not differ
+    return differ
+
+
+def test_golden_corpus_replays(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(GOLDEN)
+    assert not replay(MANIFEST, tmp_path, capsys)
+
+
+def test_edge_corpus_replays(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(GOLDEN)
+    assert not replay(EDGE, tmp_path, capsys)

@@ -461,7 +461,7 @@ def adjoint_by_condition_rows(t):
     for _, re, im in t.graph._rows:
         cre = list(re[n:]) + [-x for x in re[:n]]
         cim = [-x for x in im[n:]] + list(im[:n])
-        cond_rows.append(_rowops.make_row(cre, cim))
+        cond_rows.append((1, tuple(cre), tuple(cim)))
     pivots, rows = _rowops.rref(cond_rows, m + n)
     null_pivots, null_rows = _rowops.nullspace(pivots, rows, m + n)
     return LinearRelation(m, n, Subspace._from_rref(m + n, null_pivots, null_rows))

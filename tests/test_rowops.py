@@ -125,6 +125,26 @@ FIXED = [
     # Real pivots whose products pass the lazy reduction bound.
     (3, [(1, (2**47 + 1, 3, 5), (0, 0, 0)), (1, (7, 2**47 - 1, 11), (0, 0, 0)),
          (1, (13, 17, 2**45 + 3), (0, 0, 0))]),
+    # A real pivot 2 (den 2 once normalized) clears a complex row whose
+    # pivot-column entry is real, so the row's imaginary part must be
+    # scaled by 2; the complex pivot that follows clears a real row.
+    (3, [(1, (2, 1, 0), (0, 0, 0)), (1, (1, 0, 0), (0, 1, 1))]),
+    # An imaginary pivot i clears a real row over den 3, then a negative
+    # real pivot of a complex row is negated with its imaginary part.
+    (3, [(1, (0, 1, 0), (1, 0, 0)), (1, (0, -3, 1), (0, 0, 2)),
+         (3, (-2, 1, 1), (0, 0, 0))]),
+    # A real pivot clears a row whose pivot-column entry is complex, and a
+    # complex pivot 1+i one whose entry is imaginary.
+    (3, [(1, (2, 0, 1), (0, 0, 0)), (1, (1, 1, 0), (1, 0, 1))]),
+    (3, [(1, (1, 0, 2), (1, 1, 0)), (1, (0, 1, 1), (1, 0, 0))]),
+    # Unit pivots: den 2 with entry 2/2, and den 1, which clears a complex
+    # row whose pivot-column entry is real.
+    (3, [(2, (2, 1, 3), (0, 0, 0)), (1, (0, 1, 5), (0, 0, 0)),
+         (1, (0, 2, 0), (0, 0, 1)), (2, (0, 0, 2), (0, 1, 0))]),
+    # More rows than the rank: a negative real pivot, and multiples over
+    # several denominators.
+    (2, [(1, (-2, -4), (0, 0)), (1, (1, 2), (0, 0)), (3, (1, 2), (0, 0)),
+         (1, (0, 0), (1, 2)), (1, (0, 0), (0, 0))]),
 ]
 
 
@@ -132,6 +152,12 @@ FIXED = [
 @given(engine_rows())
 @example(FIXED[0])
 @example(FIXED[1])
+@example(FIXED[2])
+@example(FIXED[3])
+@example(FIXED[4])
+@example(FIXED[5])
+@example(FIXED[6])
+@example(FIXED[7])
 def test_rref_matches_reference(case):
     width, rows = case
     pairs = [as_pairs(r) for r in rows]

@@ -1,7 +1,8 @@
 """Source hygiene: the package uses every module-level import and calls every
-public method, each subcommand loads only the modules it runs (no numpy, no
-``hashlib``, the verifier only for ``fuzz`` and ``checks``), and the value
-layer's memo is the package's only cache."""
+public method, the modules of the cold CLI path hold no oracle-only helper,
+each subcommand loads only the modules it runs (no numpy, no ``hashlib``, the
+verifier only for ``fuzz`` and ``checks``), and the value layer's memo is the
+package's only cache."""
 
 import ast
 import importlib.util
@@ -81,6 +82,59 @@ def uncalled_methods(paths):
 def test_no_test_only_methods():
     modules = sorted(PACKAGE.glob("*.py"))
     assert sorted(uncalled_methods(modules)) == sorted(UNCALLED_METHODS)
+
+
+# The modules that the library and the CLI run, and the ones among them
+# whose every module-level function must serve them: a helper that only an
+# oracle, the verifier, a check or a test names belongs with its callers, so
+# that the cold CLI path does not compile it.
+PRODUCTION_MODULES = (
+    "cli", "documents", "relations", "subspaces", "_rowops", "errors",
+    "idempotents", "angles", "scalars", "matrices", "__init__",
+)
+SERVING_MODULES = PRODUCTION_MODULES[:6]
+
+
+def names_used(path):
+    """Every name ``path`` reads, imports or reaches as an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add((node.asname or node.name).rpartition(".")[2])
+    return names
+
+
+def functions_outside(package, serving, production):
+    """``module.function`` for each module-level function of ``serving``
+    that no module of ``production`` names."""
+    used = set().union(*(names_used(package / f"{m}.py") for m in production))
+    found = []
+    for module in serving:
+        tree = ast.parse((package / f"{module}.py").read_text(encoding="utf-8"))
+        found += [f"{module}.{node.name}" for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name not in used]
+    return found
+
+
+def test_production_modules_hold_production_functions():
+    assert functions_outside(PACKAGE, SERVING_MODULES, PRODUCTION_MODULES) == []
+
+
+def test_production_function_detector(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "import b\nfrom c import used_by_import\n"
+        "def helper(): pass\ndef called(): helper()\ndef oracle_only(): pass\n"
+    )
+    (tmp_path / "b.py").write_text("def used_by_import(): pass\nb_attr = 1\n")
+    (tmp_path / "c.py").write_text("import a\na.oracle_only()\na.called()\n")
+    assert functions_outside(tmp_path, ["a", "b"], ["a", "b"]) == [
+        "a.called",
+        "a.oracle_only",
+    ]
 
 
 # Cache mechanisms besides the value memo, ``relcalc.subspaces._memo``:

@@ -201,43 +201,6 @@ def test_draws_digest_is_pinned(monkeypatch):
     assert digest.hexdigest() == DRAWS_DIGEST
 
 
-def test_checks_see_a_bilinear_inner_product(monkeypatch):
-    # With conjugation gone, perp and so the adjoint, which is perp of the
-    # rows of -T^-1, follow the bilinear form consistently, so every lattice
-    # and adjoint identity still holds; only the inner product itself,
-    # written out in the checks, tells them apart.
-    from relcalc import _rowops
-
-    monkeypatch.setattr(_rowops, "conjugate_row", lambda row: row)
-    monkeypatch.setattr("relcalc.subspaces._memo", {})
-    cfg = GenConfig(ambient_dim=4, trials=10, seed=1)
-    report = verify_suite(cfg, ["subspace_demorgan", "adjoint_parts"])
-    assert [c.name for c in report.checks if c.failures] == [
-        "subspace_demorgan",
-        "adjoint_parts",
-    ]
-
-
-def test_checks_see_an_adjoint_without_the_sign_flip(monkeypatch):
-    # perp of the inverse's graph is the complement of T^-1, not of -T^-1:
-    # it meets <g, x> = -<f, y> in place of <g, x> = <f, y>.
-    from relcalc.relations import LinearRelation
-
-    def unflipped(t):
-        return LinearRelation(t.dim_out, t.dim_in, t.inverse().graph.perp())
-
-    monkeypatch.setattr(LinearRelation, "adjoint", unflipped)
-    monkeypatch.setattr("relcalc.subspaces._memo", {})
-    report = verify_suite(GenConfig(ambient_dim=4, trials=10, seed=1))
-    assert [c.name for c in report.checks if c.failures] == [
-        "adjoint_parts",
-        "adjoint_product_containment",
-        "semi_projection_adjoint",
-        "augmented_form_adjoint",
-        "idempotent_adjoint_triple",
-    ]
-
-
 def test_report_structure():
     cfg = GenConfig(ambient_dim=2, trials=2, seed=0)
     report = verify_suite(cfg, ["subspace_demorgan"])
