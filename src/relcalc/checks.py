@@ -36,11 +36,11 @@ from .idempotents import (
 )
 from .oracles import maximal_idempotent_hat_form
 from .relations import LinearRelation
-from .scalars import GaussianRational
 from .subspaces import Subspace
 from .verifier import (
     ce,
     check,
+    draw_subspaces,
     random_ic_triple,
     random_idempotent,
     random_relation,
@@ -223,8 +223,7 @@ def check_adjoint_pair(rng, cfg):
 
 @check("subspace_demorgan", ["subspace-demorgan"])
 def check_demorgan(rng, cfg):
-    s1 = random_subspace(rng, cfg)
-    s2 = random_subspace(rng, cfg)
+    s1, s2 = draw_subspaces(rng, cfg, 2)
     if s1.sum_with(s2).perp() != s1.perp().intersect(s2.perp()):
         return ce("(S1+S2)-perp mismatch", s1=s1, s2=s2)
     if s1.intersect(s2).perp() != s1.perp().sum_with(s2.perp()):
@@ -261,8 +260,7 @@ def check_semi_projection(rng, cfg):
         if cls.is_semi_projection != alt:
             return ce("semi-projection flag disagrees with the definition", e=e)
         return None
-    m = random_subspace(rng, cfg)
-    n = random_subspace(rng, cfg)
+    m, n = draw_subspaces(rng, cfg, 2)
     p = semi_projection(m, n)
     if p.ran != m or p.ker != n:
         return ce("semi-projection has wrong range or kernel", m=m, n=n)
@@ -287,9 +285,7 @@ def check_sandwich(rng, cfg):
 
 @check("restricted_form_parts", ["restricted-form-parts"])
 def check_restricted_parts(rng, cfg):
-    m = random_subspace(rng, cfg)
-    n = random_subspace(rng, cfg)
-    s = random_subspace(rng, cfg)
+    m, n, s = draw_subspaces(rng, cfg, 3)
     r = sub_form(m, n, s)
     if r.dom != m.sum_with(n).intersect(s):
         return ce("dom of the restricted form", m=m, n=n, s=s)
@@ -304,9 +300,7 @@ def check_restricted_parts(rng, cfg):
 
 @check("augmented_form_parts", ["augmented-form-parts"])
 def check_augmented_parts(rng, cfg):
-    m = random_subspace(rng, cfg)
-    n = random_subspace(rng, cfg)
-    s = random_subspace(rng, cfg)
+    m, n, s = draw_subspaces(rng, cfg, 3)
     t = super_form(m, n, s)
     if t.dom != m.sum_with(n):
         return ce("dom of the augmented form", m=m, n=n, s=s)
@@ -321,9 +315,7 @@ def check_augmented_parts(rng, cfg):
 
 @check("restricted_form_algebra", ["restricted-form-algebra"])
 def check_restricted_algebra(rng, cfg):
-    m = random_subspace(rng, cfg)
-    n = random_subspace(rng, cfg)
-    s = random_subspace(rng, cfg)
+    m, n, s = draw_subspaces(rng, cfg, 3)
     r = sub_form(m, n, s)
     if rng.randrange(2):
         if r.one_minus() != sub_form(n, m, s):
@@ -336,9 +328,7 @@ def check_restricted_algebra(rng, cfg):
 
 @check("augmented_form_algebra", ["augmented-form-algebra"])
 def check_augmented_algebra(rng, cfg):
-    m = random_subspace(rng, cfg)
-    n = random_subspace(rng, cfg)
-    s = random_subspace(rng, cfg)
+    m, n, s = draw_subspaces(rng, cfg, 3)
     t = super_form(m, n, s)
     if rng.randrange(2):
         if t.one_minus() != super_form(n, m, s):
@@ -498,14 +488,12 @@ def check_square_characterization(rng, cfg):
 @check("strictness_witnesses", ["strictness-witnesses"], scale=0.05)
 def check_strictness(rng, cfg):
     n = max(2, cfg.ambient_dim)
-    e1 = [GaussianRational(0)] * n
-    e2 = [GaussianRational(0)] * n
-    e1[0] = GaussianRational(1)
-    e2[1] = GaussianRational(1)
-    diag = [a + b for a, b in zip(e1, e2)]
-    span1 = Subspace.span([e1], n)
-    span2 = Subspace.span([e2], n)
-    spand = Subspace.span([diag], n)
+    zero = (0,) * n
+
+    def line(head):  # the span of head followed by zeros
+        return Subspace.from_int_rows([(1, head + zero[2:], zero)], n)
+
+    span1, span2, spand = line((1, 0)), line((0, 1)), line((1, 1))
     strict_sub = sub_form(span1, span2, spand)
     cls = classify(strict_sub)
     if not (cls.is_sub and not cls.is_super):
@@ -565,9 +553,7 @@ def check_idempotent_parts(rng, cfg):
 @check("idempotent_set_parameterizations", ["idempotent-set-parameterizations"])
 def check_idempotent_set_forms(rng, cfg):
     if rng.randrange(2):
-        m = random_subspace(rng, cfg)
-        n = random_subspace(rng, cfg)
-        s = random_subspace(rng, cfg)
+        m, n, s = draw_subspaces(rng, cfg, 3)
         e1 = super_form(m.intersect(s), n.intersect(s), m.intersect(n))
         if not classify(e1).is_idempotent:
             return ce("meet-parameterized form is not idempotent", m=m, n=n, s=s)
@@ -599,9 +585,7 @@ def check_identity_restriction(rng, cfg):
 
 @check("smallest_idempotent_above", ["smallest-idempotent-above"], scale=0.06)
 def check_smallest_idempotent(rng, cfg):
-    m = random_subspace(rng, cfg)
-    n = random_subspace(rng, cfg)
-    s = random_subspace(rng, cfg)
+    m, n, s = draw_subspaces(rng, cfg, 3)
     e0 = minimal_idempotent(m, n, s)
     if not classify(e0).is_idempotent:
         return ce("minimal construction is not idempotent", m=m, n=n, s=s)
@@ -631,9 +615,7 @@ def check_smallest_idempotent(rng, cfg):
 
 @check("largest_idempotent_below", ["largest-idempotent-below"], scale=0.06)
 def check_largest_idempotent(rng, cfg):
-    x = random_subspace(rng, cfg)
-    y = random_subspace(rng, cfg)
-    z = random_subspace(rng, cfg)
+    x, y, z = draw_subspaces(rng, cfg, 3)
     f0 = maximal_idempotent(x, y, z)
     if f0 != maximal_idempotent_hat_form(x, y, z):
         return ce("the two maximal constructions differ", x=x, y=y, z=z)
@@ -676,9 +658,7 @@ def check_kernel_triple(rng, cfg):
         if kernel_triple(e2) != t2:
             return ce("kernel triple of the built idempotent differs", triple=t2)
         return None
-    m = random_subspace(rng, cfg)
-    n = random_subspace(rng, cfg)
-    s = random_subspace(rng, cfg)
+    m, n, s = draw_subspaces(rng, cfg, 3)
     third = (
         m.sum_with(n).intersect(m.sum_with(s)) == m
         and m.intersect(n) == m.intersect(s)
@@ -703,9 +683,7 @@ def check_range_triple(rng, cfg):
         if build_from_range_triple(t.x, t.y, t.z) != e:
             return ce("rebuilding from the range triple changed the idempotent", e=e)
         return None
-    x = random_subspace(rng, cfg)
-    y = random_subspace(rng, cfg)
-    z = random_subspace(rng, cfg)
+    x, y, z = draw_subspaces(rng, cfg, 3)
     third = (
         x == x.intersect(y).sum_with(x.intersect(z))
         and x.sum_with(y) == x.sum_with(z)
@@ -749,9 +727,7 @@ def check_triple_conversion(rng, cfg):
 @check("ic_recipes", ["ic-recipes"])
 def check_ic_recipes(rng, cfg):
     if rng.randrange(2):
-        m = random_subspace(rng, cfg)
-        n = random_subspace(rng, cfg)
-        s = random_subspace(rng, cfg)
+        m, n, s = draw_subspaces(rng, cfg, 3)
         if not ic_holds(m, n, m.intersect(n)):
             return ce("(M, N, M meet N) fails the IC", m=m, n=n)
         if not ic_holds(n.intersect(s), m.intersect(s), m.intersect(n)):
@@ -781,8 +757,7 @@ def check_triple_inverse_complement(rng, cfg):
 
 @check("semi_projection_adjoint", ["semi-projection-adjoint"])
 def check_semi_projection_adjoint(rng, cfg):
-    m = random_subspace(rng, cfg)
-    n = random_subspace(rng, cfg)
+    m, n = draw_subspaces(rng, cfg, 2)
     if semi_projection(m, n).adjoint() != semi_projection(n.perp(), m.perp()):
         return ce("adjoint of a semi-projection mismatch", m=m, n=n)
     return None
@@ -790,9 +765,7 @@ def check_semi_projection_adjoint(rng, cfg):
 
 @check("augmented_form_adjoint", ["augmented-form-adjoint"])
 def check_augmented_adjoint(rng, cfg):
-    m = random_subspace(rng, cfg)
-    n = random_subspace(rng, cfg)
-    s = random_subspace(rng, cfg)
+    m, n, s = draw_subspaces(rng, cfg, 3)
     lhs = super_form(m, n, s).adjoint()
     rhs = sub_form(n.perp(), m.perp(), s.perp())
     if lhs != rhs:
@@ -817,8 +790,7 @@ def check_idempotent_adjoint(rng, cfg):
 
 @check("angle_range_symmetry", ["angle-range-symmetry"], scale=0.4, angle=True)
 def check_angle_symmetry(rng, cfg):
-    s = random_subspace(rng, cfg)
-    t = random_subspace(rng, cfg)
+    s, t = draw_subspaces(rng, cfg, 2)
     tol = cfg.tol
     c0 = dixmier_cos(s, t, tol)
     c = friedrichs_cos(s, t, tol)
@@ -835,8 +807,7 @@ def check_angle_symmetry(rng, cfg):
 
 @check("angle_closed_sum", ["angle-closed-sum"], scale=0.4, angle=True)
 def check_angle_closed_sum(rng, cfg):
-    s = random_subspace(rng, cfg)
-    t = random_subspace(rng, cfg)
+    s, t = draw_subspaces(rng, cfg, 2)
     c = friedrichs_cos(s, t, cfg.tol)
     if not c < 1.0 - 1e-9:
         return ce("Friedrichs cosine touched 1", s=s, t=t, c=c)
@@ -850,8 +821,7 @@ def check_angle_closed_sum(rng, cfg):
     angle=True,
 )
 def check_angle_intersection(rng, cfg):
-    s = random_subspace(rng, cfg)
-    t = random_subspace(rng, cfg)
+    s, t = draw_subspaces(rng, cfg, 2)
     c0 = dixmier_cos(s, t, cfg.tol)
     nontrivial = not s.intersect(t).is_zero()
     if (abs(c0 - 1.0) < 1e-6) != nontrivial:
@@ -880,8 +850,7 @@ def check_angle_coincide(rng, cfg):
 
 @check("angle_monotonicity", ["angle-monotonicity"], scale=0.4, angle=True)
 def check_angle_monotonicity(rng, cfg):
-    s = random_subspace(rng, cfg)
-    w = random_subspace(rng, cfg)
+    s, w = draw_subspaces(rng, cfg, 2)
     meet = w.intersect(s)
     extra_pool = w.relative_complement(s)
     keep = [row for row in extra_pool._rows if rng.randrange(2)]
@@ -895,8 +864,7 @@ def check_angle_monotonicity(rng, cfg):
 
 @check("angle_sampled_sup_bound", ["angle-sampled-sup-bound"], scale=0.4, angle=True)
 def check_angle_sampled_sup(rng, cfg):
-    s = random_subspace(rng, cfg)
-    t = random_subspace(rng, cfg)
+    s, t = draw_subspaces(rng, cfg, 2)
     c = friedrichs_cos(s, t, cfg.tol)
     s_part = s.relative_complement(t)
     t_part = t.relative_complement(s)

@@ -213,8 +213,8 @@ def _cmd_fuzz(args) -> int:
             with contextlib.suppress(OSError):
                 os.remove(args.output)
         raise
-    _emit_document(report.json_dict(), args.output)
-    return 0 if report.passed else 5
+    _emit_document(report, args.output)
+    return 0 if report["pass"] else 5
 
 
 def _cmd_checks(args) -> int:

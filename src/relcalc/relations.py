@@ -136,12 +136,6 @@ class LinearRelation:
         self._require_same_dims(other)
         return other.graph.contains(self.graph)
 
-    def __le__(self, other):
-        return self.leq(other)
-
-    def __ge__(self, other):
-        return other.leq(self)
-
     # -- parts ---------------------------------------------------------------
 
     @memoized
@@ -288,9 +282,6 @@ class LinearRelation:
             for _, re, im in other.graph._rows
         ]
         return LinearRelation(n, m, _read_off(self.graph, e, pairs, n + m))
-
-    def __matmul__(self, other):
-        return self.compose(other)
 
     @memoized
     def squared(self) -> "LinearRelation":

@@ -211,12 +211,6 @@ class Subspace:
             _rowops.member(self._pivots, self._rows, r) for r in other._rows
         )
 
-    def __ge__(self, other):
-        return self.contains(other)
-
-    def __le__(self, other):
-        return other.contains(self)
-
     def relative_complement(self, other: "Subspace") -> "Subspace":
         """S minus (S meet T): the part of S orthogonal to S intersect T."""
         meet = self.intersect(other)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable, Iterable
 
 from .angles import require_tol
@@ -70,9 +70,6 @@ class GenConfig:
             raise PreconditionError("max_entry must be at least 1")
         require_tol(self.tol)
 
-    def json_dict(self) -> dict:
-        return asdict(self)
-
 
 def trial_rng(seed: int, check_name: str, index: int) -> random.Random:
     """Independent deterministic stream per (seed, check, trial).
@@ -119,6 +116,13 @@ def random_subspace(rng, cfg) -> Subspace:
     return Subspace.from_int_rows([_random_int_row(rng, cfg, n) for _ in range(k)], n)
 
 
+def draw_subspaces(rng, cfg, count: int) -> list[Subspace]:
+    """``count`` calls of :func:`random_subspace`, in order.  Its name does
+    not start with ``random_``, so whatever records or traces the ``random_*``
+    generators sees each draw once and not the list as well."""
+    return [random_subspace(rng, cfg) for _ in range(count)]
+
+
 def random_subspace_of_dim(rng, cfg, dim: int) -> Subspace:
     """Row space of a random integer matrix with ``dim`` rows, regenerated
     until they are independent."""
@@ -158,15 +162,11 @@ def random_operator(rng, cfg, n: int | None = None) -> LinearRelation:
 
 
 def random_sub_idempotent(rng, cfg) -> LinearRelation:
-    return sub_form(
-        random_subspace(rng, cfg), random_subspace(rng, cfg), random_subspace(rng, cfg)
-    )
+    return sub_form(*draw_subspaces(rng, cfg, 3))
 
 
 def random_super_idempotent(rng, cfg) -> LinearRelation:
-    return super_form(
-        random_subspace(rng, cfg), random_subspace(rng, cfg), random_subspace(rng, cfg)
-    )
+    return super_form(*draw_subspaces(rng, cfg, 3))
 
 
 def random_independent_split(rng, cfg, parts: int = 3):
@@ -202,17 +202,11 @@ def random_ic_triple(rng, cfg) -> IdempotentTriple:
     """
     recipe = rng.randrange(3)
     if recipe == 0:
-        a = random_subspace(rng, cfg)
-        b = random_subspace(rng, cfg)
-        c = random_subspace(rng, cfg)
-        return IdempotentTriple(
-            b.intersect(c), a.intersect(c), a.intersect(b)
-        )
+        a, b, c = draw_subspaces(rng, cfg, 3)
+        return IdempotentTriple(b.intersect(c), a.intersect(c), a.intersect(b))
     if recipe == 1:
-        m, n, s = random_independent_split(rng, cfg)
-        return IdempotentTriple(m, n, s)
-    m = random_subspace(rng, cfg)
-    n = random_subspace(rng, cfg)
+        return IdempotentTriple(*random_independent_split(rng, cfg))
+    m, n = draw_subspaces(rng, cfg, 2)
     return IdempotentTriple(m, n, m.intersect(n))
 
 
@@ -222,7 +216,7 @@ def random_idempotent(rng, cfg) -> LinearRelation:
 
 
 def random_semi_projection(rng, cfg) -> LinearRelation:
-    return semi_projection(random_subspace(rng, cfg), random_subspace(rng, cfg))
+    return semi_projection(*draw_subspaces(rng, cfg, 2))
 
 
 def random_square_pool(rng, cfg) -> LinearRelation:
@@ -242,9 +236,7 @@ def random_square_pool(rng, cfg) -> LinearRelation:
     if kind == 5:
         return random_operator(rng, cfg)
     if kind == 6:
-        return LinearRelation.product_space(
-            random_subspace(rng, cfg), random_subspace(rng, cfg)
-        )
+        return LinearRelation.product_space(*draw_subspaces(rng, cfg, 2))
     return random_relation(rng, cfg, n, n)
 
 
@@ -315,41 +307,11 @@ def ce(detail: str, **inputs) -> dict:
 # -- report -------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    trials: int
-    failures: int
-    counterexample: dict | None = None
-
-    def json_dict(self) -> dict:
-        return asdict(self)
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    checks: tuple[CheckResult, ...]
-    config: GenConfig
-    passed: bool = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "passed", all(c.failures == 0 for c in self.checks)
-        )
-
-    def json_dict(self) -> dict:
-        return {
-            "checks": [c.json_dict() for c in self.checks],
-            "pass": self.passed,
-            "config": self.config.json_dict(),
-            "coverage": coverage_table(),
-        }
-
-
-def verify_suite(
-    cfg: GenConfig, names: Iterable[str] | None = None
-) -> VerificationReport:
-    """Run the selected checks (all by default) and assemble the report.
+def verify_suite(cfg: GenConfig, names: Iterable[str] | None = None) -> dict:
+    """Run the selected checks (all by default) and return the report
+    document's body: per-check trial and failure counts with the first
+    counterexample, the overall ``pass``, the config echo and the coverage
+    table.
 
     Counterexamples are data; only internal invariant breaches escape as
     exceptions, always an :class:`InternalCheckError` whose context names
@@ -392,8 +354,16 @@ def verify_suite(
                 failures += 1
                 if first is None:
                     first = {"trial": index, **outcome}
-        results.append(CheckResult(name, count, failures, first))
-    return VerificationReport(tuple(results), cfg)
+        results.append(
+            {"name": name, "trials": count, "failures": failures,
+             "counterexample": first}
+        )
+    return {
+        "checks": results,
+        "pass": all(r["failures"] == 0 for r in results),
+        "config": asdict(cfg),
+        "coverage": coverage_table(),
+    }
 
 
 # -- claims ledger ---------------------------------------------------------------

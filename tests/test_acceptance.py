@@ -196,7 +196,7 @@ def test_criterion_5_strictness_witnesses(capsys):
     # and the fuzz batch produces them through its own check
     cfg = GenConfig(ambient_dim=4, trials=5, seed=42)
     rep = verify_suite(cfg, ["strictness_witnesses"])
-    assert rep.passed
+    assert rep["pass"]
     with capsys.disabled():
         report(
             "criterion-5",

@@ -18,17 +18,7 @@ from relcalc.angles import (
 )
 from relcalc.verifier import GenConfig
 
-I = GaussianRational(0, 1)
-
-
-def e(k, n):
-    v = [0] * n
-    v[k] = 1
-    return v
-
-
-def span(vectors, n):
-    return Subspace.span(vectors, n)
+from vectors import I, e, span
 
 
 def test_orthonormal_normalizes():

@@ -32,11 +32,7 @@ from relcalc.documents import (
 from relcalc.matrices import ints_to_row, row_to_ints
 from relcalc.scalars import format_scalar, parse_scalar
 
-
-def e(k, n):
-    v = [0] * n
-    v[k] = 1
-    return v
+from vectors import e
 
 
 def test_subspace_round_trip():

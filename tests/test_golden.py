@@ -16,9 +16,12 @@ exactly and whose two cosines must match to 1e-12.
 in the same format: dims 0, 1 and 2, real and complex entries, zero and full
 spaces, rectangular 0->1, 1->0, 1->2 and 2->1 relations and both triple
 kinds, under every subcommand and every ``build``, ``triple``,
-``convert-triple`` and ``ic`` form.  Its values were checked by hand; for
-example, the full 0->1 relation composed after the full 1->0 one is the full
-1->1 relation.
+``convert-triple`` and ``ic`` form, plus the refusals that no other test
+reaches: ``build`` with the wrong number of files, a top-level JSON array, a
+string for a basis vector, a list for a triple component (exit 2) and a
+triple component of another ambient (exit 3).  Its values were checked by
+hand; for example, the full 0->1 relation composed after the full 1->0 one is
+the full 1->1 relation.
 """
 
 import hashlib

@@ -35,15 +35,7 @@ from relcalc import (
 from relcalc.errors import DimensionError
 from relcalc.oracles import maximal_idempotent_hat_form
 
-
-def e(k, n):
-    v = [0] * n
-    v[k] = 1
-    return v
-
-
-def span(vectors, n):
-    return Subspace.span(vectors, n)
+from vectors import e, span
 
 
 def line(k, n):

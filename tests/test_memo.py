@@ -48,7 +48,7 @@ else:
 
     verifier.trial_rng = collecting
 cfg = verifier.GenConfig(ambient_dim=4, trials=3, seed=1)
-report = serialize_document(wrap(verifier.verify_suite(cfg).json_dict()))
+report = serialize_document(wrap(verifier.verify_suite(cfg)))
 print(json.dumps({"calls": calls, "report": report}))
 """
 
@@ -91,7 +91,7 @@ def test_eviction_never_changes_an_answer(monkeypatch):
         subspaces._memo.clear()
         report = verifier.verify_suite(cfg)
         assert len(subspaces._memo) <= bound
-        reports.append(serialize_document(wrap(report.json_dict())))
+        reports.append(serialize_document(wrap(report)))
     assert reports[0] == reports[1] == reports[2]
 
 

@@ -233,6 +233,20 @@ LEDGER = {
         semi_projection_adjoint augmented_form_adjoint
         idempotent_adjoint_triple""",
     ),
+    # With no Jacobi sweep the largest row norm of the cross-Gram matrix
+    # stands in for its largest singular value, which it only bounds below.
+    "largest_singular_value_is_a_row_norm": Fault(
+        "relcalc.angles:_largest_singular_value",
+        _edit(("for _ in range(_JACOBI_SWEEPS):", "for _ in range(0):")),
+        10,
+        "angle_range_symmetry angle_dixmier_detects_intersection",
+    ),
+    "relative_complement_returns_self": Fault(
+        "relcalc.subspaces:Subspace.relative_complement",
+        _edit(("return self.intersect(meet.perp())", "return self")),
+        10,
+        "subspace_demorgan angle_closed_sum",
+    ),
 }
 
 
@@ -269,7 +283,7 @@ def kills(name):
         monkeypatch.setattr("relcalc.subspaces._memo", {})
         for check in CHECKS:
             try:
-                if not verify_suite(cfg, [check]).passed:
+                if not verify_suite(cfg, [check])["pass"]:
                     seen[check] = "fail"
             except InternalCheckError:
                 seen[check] = "raise"

@@ -11,17 +11,7 @@ from relcalc.oracles import (
     plus_by_slot_elimination,
 )
 
-I = GaussianRational(0, 1)
-
-
-def e(k, n):
-    v = [0] * n
-    v[k] = 1
-    return v
-
-
-def span(vectors, n):
-    return Subspace.span(vectors, n)
+from vectors import I, e, span
 
 
 def operator(matrix):

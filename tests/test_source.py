@@ -58,6 +58,10 @@ UNCALLED_METHODS = {
         "scalar-pair constructor for tests and library users; documents "
         "build relations from integer rows"
     ),
+    "Subspace.span": (
+        "scalar-vector constructor for tests and library users; documents "
+        "and the checks build from integer rows"
+    ),
 }
 
 

@@ -9,17 +9,7 @@ from relcalc import DimensionError, GaussianRational, LinearRelation, Subspace
 from relcalc import _rowops
 from relcalc.oracles import intersect_by_stacking
 
-I = GaussianRational(0, 1)
-
-
-def e(k, n):
-    v = [0] * n
-    v[k] = 1
-    return v
-
-
-def span(vectors, n):
-    return Subspace.span(vectors, n)
+from vectors import I, e, span
 
 
 def leading_columns(space):
