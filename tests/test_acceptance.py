@@ -116,9 +116,14 @@ def test_criterion_2_two_sided_equivalence(capsys):
                     assert classify(e).is_idempotent
             else:
                 e = random_square_pool(rng, cfg)
-            # classify itself cross-checks definitional vs criterial routes
-            # and raises on disagreement; the canonical-form routes follow.
+            # classify decides from the definition (E o E against E) and
+            # cross-checks the part criteria itself; the test states the
+            # criteria and the canonical-form routes against its flags too.
             cls = classify(e)
+            kernel_crit = e.one_minus().ker == e.ran.intersect(e.dom)
+            assert kernel_crit == cls.is_sub
+            range_crit = e.one_minus().ran == e.ker.sum_with(e.mul)
+            assert range_crit == cls.is_super
             form_sub = e == sub_form(e.ran, e.one_minus().ran, e.dom)
             assert form_sub == cls.is_sub
             form_super = e == super_form(e.one_minus().ker, e.ker, e.mul)

@@ -1,0 +1,241 @@
+"""Every kernel answer of one fuzz suite, certified.
+
+Every "independent" route of the fuzz checks ends in the same three kernel
+functions, ``_rowops.rref``, ``residual`` and ``nullspace``, so a kernel
+fault that breaks both sides of an identity alike goes unseen.  These tests
+wrap the three for one suite and check each answer, not the code that made
+it: a certifying checker after Blum and Kannan, "Designing programs that
+check their work", JACM 42(1), 1995.  The checker shares only the row format
+``(den, re, im)`` with ``_rowops``:
+
+* ``rref``: the output is canonical; every input row v equals
+  sum_k v[p_k] * out_k, so the input spans at most the output; and the
+  input's rank modulo a prime P, which reduction can only lower (Schwartz,
+  JACM 27(4), 1980), equals the number of output rows, so it spans at least
+  the output.
+* ``residual``: the result is zero in every pivot column, and
+  vec - residual equals sum_k vec[p_k] * row_k, so it lies in the span.
+* ``nullspace``: M x = 0 for every output row x, and there are width - rank
+  of them, canonical and so independent.
+"""
+
+import importlib
+import pkgutil
+import re
+from math import gcd, lcm
+from pathlib import Path
+
+import relcalc
+from relcalc import InternalCheckError, _rowops, verifier
+from relcalc.verifier import GenConfig, verify_suite
+
+from test_mutants import LEDGER, _install
+
+# A 61-bit prime that is 1 (mod 4), so i can be sent to a square root of -1
+# in GF(P); 7 is a quadratic non-residue modulo P.
+P = 2**61 - 31
+SQRT_MINUS_ONE = pow(7, (P - 1) // 4, P)
+assert SQRT_MINUS_ONE * SQRT_MINUS_ONE % P == P - 1
+
+
+def _parts(row):
+    den, re, im = row
+    return den, list(re), [0] * len(re) if im is None else list(im)
+
+
+def _not_canonical(pivots, out, width):
+    """Why ``(pivots, out)`` is not a reduced echelon form, or ``None``."""
+    if list(pivots) != sorted(set(pivots)) or len(pivots) != len(out):
+        return "pivots are not increasing, one per row"
+    for (den, re, im), p in zip(out, pivots):
+        if den < 1 or len(re) != width or len(im) != width:
+            return "row has a bad denominator or length"
+        if re[p] != den or im[p]:
+            return f"pivot entry at column {p} is not 1"
+        if any(re[:p]) or any(im[:p]):
+            return f"row pivoting at {p} has an entry before it"
+        if any(re[q] or im[q] for q in pivots if q != p):
+            return f"row pivoting at {p} has an entry in another pivot column"
+        if gcd(den, *re, *im) != 1:
+            return f"row pivoting at {p} keeps a common factor"
+    return None
+
+
+def _is_combination(target, pivots, rows):
+    """Whether ``target`` equals sum_k target[p_k] * rows_k exactly, over the
+    common denominator lcm(dens)."""
+    _, vre, vim = _parts(target)
+    common = lcm(1, *(den for den, _, _ in rows))
+    sre = [0] * len(vre)
+    sim = [0] * len(vre)
+    for (den, re, im), p in zip(rows, pivots):
+        scale = common // den
+        a, b = vre[p] * scale, vim[p] * scale
+        if a or b:
+            for c, (x, y) in enumerate(zip(re, im)):
+                sre[c] += a * x - b * y
+                sim[c] += a * y + b * x
+    return [common * x for x in vre] == sre and [common * y for y in vim] == sim
+
+
+def _rank_mod_p(rows, width):
+    """Rank of the rows after sending i to a square root of -1 in GF(P);
+    each row is scaled by its denominator, which keeps the rank."""
+    work = [
+        [(x + SQRT_MINUS_ONE * y) % P for x, y in zip(re, im)]
+        for _, re, im in map(_parts, rows)
+    ]
+    rank = 0
+    for col in range(width):
+        lead = next((r for r in range(rank, len(work)) if work[r][col]), None)
+        if lead is None:
+            continue
+        work[rank], work[lead] = work[lead], work[rank]
+        inverse = pow(work[rank][col], -1, P)
+        top = [x * inverse % P for x in work[rank]]
+        for r in range(rank + 1, len(work)):
+            f = work[r][col]
+            if f:
+                work[r] = [(x - f * t) % P for x, t in zip(work[r], top)]
+        rank += 1
+    return rank
+
+
+def _rref_fault(args, answer):
+    rows, width = args
+    pivots, out = answer
+    reason = _not_canonical(pivots, out, width)
+    if reason:
+        return reason
+    for row in rows:
+        if not _is_combination(row, pivots, out):
+            return "an input row is not the combination of the output rows"
+    if _rank_mod_p(rows, width) != len(out):
+        return "the input's rank modulo P differs from the output's"
+    return None
+
+
+def _residual_fault(args, answer):
+    pivots, rows, vec = args
+    dr, rre, rim = _parts(answer)
+    dv, vre, vim = _parts(vec)
+    if any(rre[p] or rim[p] for p in pivots):
+        return "the residual is not zero in a pivot column"
+    moved = (
+        dv * dr,
+        [dr * x - dv * y for x, y in zip(vre, rre)],
+        [dr * x - dv * y for x, y in zip(vim, rim)],
+    )
+    if not _is_combination(moved, pivots, rows):
+        return "vec - residual is not in the span of the rows"
+    return None
+
+
+def _nullspace_fault(args, answer):
+    pivots, rows, width = args
+    out_pivots, out = answer
+    reason = _not_canonical(out_pivots, out, width)
+    if reason:
+        return reason
+    if len(out) != width - len(rows):
+        return "the null space has the wrong dimension"
+    for _, xre, xim in out:
+        for _, mre, mim in rows:
+            real = sum(a * x - b * y for a, b, x, y in zip(mre, mim, xre, xim))
+            imag = sum(a * y + b * x for a, b, x, y in zip(mre, mim, xre, xim))
+            if real or imag:
+                return "an output row is not in the null space"
+    return None
+
+
+# Each kernel function with the certificate that finds what is wrong with
+# one of its answers.
+KERNEL = {
+    "rref": _rref_fault,
+    "residual": _residual_fault,
+    "nullspace": _nullspace_fault,
+}
+
+
+class Rejected(Exception):
+    """A kernel answer that fails its certificate."""
+
+
+def _certified_suite(monkeypatch, cfg):
+    """Run the whole suite on a fresh memo with every kernel answer
+    certified.  Returns the report, or the first rejection as a message that
+    names the check, the trial, the kernel function and its input."""
+    where = ["setup", None]
+    counts = dict.fromkeys(KERNEL, 0)
+    rejections = []
+    trial_rng = verifier.trial_rng
+
+    def tracking(seed, name, index):
+        where[:] = [name, index]
+        return trial_rng(seed, name, index)
+
+    def certified(name, fn):
+        def wrapper(*args):
+            if name == "rref":
+                args = (list(args[0]), args[1])
+            answer = fn(*args)
+            counts[name] += 1
+            reason = KERNEL[name](args, answer)
+            if reason:
+                rejections.append(
+                    f"check {where[0]}, trial {where[1]}: {name} rejected "
+                    f"({reason}); input {args!r}"
+                )
+                raise Rejected(rejections[-1])
+            return answer
+
+        return wrapper
+
+    monkeypatch.setattr("relcalc.subspaces._memo", {})
+    monkeypatch.setattr(verifier, "trial_rng", tracking)
+    for name in KERNEL:
+        monkeypatch.setattr(_rowops, name, certified(name, getattr(_rowops, name)))
+    try:
+        report = verify_suite(cfg)
+    except InternalCheckError:
+        if not rejections:
+            raise
+        return rejections[0], counts
+    return report, counts
+
+
+CFG = GenConfig(ambient_dim=4, trials=10, seed=1)
+
+
+def test_every_caller_reaches_the_kernel_through_its_module():
+    # Patching the module attributes covers a caller only if it looks the
+    # function up on ``_rowops`` at call time.
+    originals = {id(getattr(_rowops, name)) for name in KERNEL}
+    bound = []
+    for info in pkgutil.iter_modules(relcalc.__path__):
+        module = importlib.import_module(f"relcalc.{info.name}")
+        if module is _rowops:
+            continue
+        bound += [
+            f"relcalc.{info.name}.{attr}"
+            for attr, value in vars(module).items()
+            if id(value) in originals
+        ]
+        if re.search(r"_rowops import", Path(module.__file__).read_text()):
+            bound.append(f"relcalc.{info.name} imports from _rowops")
+    assert not bound
+
+
+def test_every_kernel_answer_of_a_suite_is_certified(monkeypatch):
+    report, counts = _certified_suite(monkeypatch, CFG)
+    assert isinstance(report, dict), report
+    assert report["pass"]
+    assert all(counts.values()), counts
+
+
+def test_the_certificate_rejects_the_ledger_kernel_fault(monkeypatch):
+    fault = LEDGER["eliminate_leaves_vim_unscaled"]
+    _install(monkeypatch, fault.target, fault.make)
+    rejection, _ = _certified_suite(monkeypatch, CFG)
+    assert isinstance(rejection, str)
+    assert rejection.startswith("check adjoint_hat_sum, trial 5: residual rejected")
