@@ -345,9 +345,12 @@ def check_augmented_algebra(rng, cfg):
 )
 def check_sub_characterizations(rng, cfg):
     e = random_sub_idempotent(rng, cfg) if rng.randrange(2) else random_square_pool(rng, cfg)
-    cls = classify(e)
+    cls, comp = classify(e), e.one_minus()
+    crit = comp.ker == e.ran.intersect(e.dom), comp.ran == e.ker.sum_with(e.mul)
+    if crit != (cls.is_sub, cls.is_super):
+        return ce("part criteria disagree with the sub and super flags", e=e)
     if rng.randrange(2):
-        form = sub_form(e.ran, e.one_minus().ran, e.dom)
+        form = sub_form(e.ran, comp.ran, e.dom)
         if (e == form) != cls.is_sub:
             return ce("restricted-form identity disagrees with sub flag", e=e)
         return None
@@ -365,9 +368,12 @@ def check_sub_characterizations(rng, cfg):
 )
 def check_super_characterizations(rng, cfg):
     e = random_super_idempotent(rng, cfg) if rng.randrange(2) else random_square_pool(rng, cfg)
-    cls = classify(e)
+    cls, comp = classify(e), e.one_minus()
+    crit = comp.ker == e.ran.intersect(e.dom), comp.ran == e.ker.sum_with(e.mul)
+    if crit != (cls.is_sub, cls.is_super):
+        return ce("part criteria disagree with the sub and super flags", e=e)
     if rng.randrange(2):
-        form = super_form(e.one_minus().ker, e.ker, e.mul)
+        form = super_form(comp.ker, e.ker, e.mul)
         if (e == form) != cls.is_super:
             return ce("augmented-form identity disagrees with super flag", e=e)
         return None

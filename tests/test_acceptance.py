@@ -116,9 +116,9 @@ def test_criterion_2_two_sided_equivalence(capsys):
                     assert classify(e).is_idempotent
             else:
                 e = random_square_pool(rng, cfg)
-            # classify decides from the definition (E o E against E) and
-            # cross-checks the part criteria itself; the test states the
-            # criteria and the canonical-form routes against its flags too.
+            # classify decides from the definition alone (E o E against E);
+            # the test states the part criteria and the canonical-form
+            # routes against its flags.
             cls = classify(e)
             kernel_crit = e.one_minus().ker == e.ran.intersect(e.dom)
             assert kernel_crit == cls.is_sub

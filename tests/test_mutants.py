@@ -145,13 +145,12 @@ LEDGER = {
         """adjoint_hat_sum subspace_demorgan
         semi_projection_characterization restricted_form_parts
         augmented_form_parts restricted_form_algebra
-        one_sided_closure_ops one_sided_to_idempotent
-        square_closed_forms square_preserves_sidedness
-        square_characterization strictness_witnesses
-        idempotent_canonical_forms idempotent_part_identities
-        range_triple_condition triple_conversion
-        triple_inverse_complement augmented_form_adjoint
-        idempotent_adjoint_triple""",
+        one_sided_to_idempotent square_closed_forms
+        square_preserves_sidedness square_characterization
+        strictness_witnesses idempotent_canonical_forms
+        idempotent_part_identities range_triple_condition
+        triple_conversion triple_inverse_complement
+        augmented_form_adjoint idempotent_adjoint_triple""",
     ),
     "sum_keeps_only_the_first_residual": Fault(
         "relcalc.subspaces:_sum",
@@ -162,9 +161,8 @@ LEDGER = {
         restricted_form_parts augmented_form_parts
         restricted_form_algebra augmented_form_algebra
         sub_characterizations super_characterizations
-        one_sided_closure_ops square_closed_forms
-        square_preserves_sidedness idempotent_canonical_forms
-        idempotent_set_parameterizations identity_restriction_criterion
+        square_closed_forms square_preserves_sidedness
+        idempotent_canonical_forms idempotent_set_parameterizations
         smallest_idempotent_above kernel_triple_condition
         range_triple_condition triple_conversion
         triple_inverse_complement semi_projection_adjoint
@@ -186,13 +184,10 @@ LEDGER = {
         semi_projection_characterization canonical_sandwich
         restricted_form_parts augmented_form_parts
         augmented_form_algebra sub_characterizations
-        super_characterizations one_sided_closure_ops
-        one_sided_to_idempotent square_closed_forms
-        square_part_equalities square_preserves_sidedness
-        square_characterization strictness_witnesses
-        idempotent_canonical_forms idempotent_part_identities
-        idempotent_set_parameterizations identity_restriction_criterion
-        smallest_idempotent_above kernel_triple_condition
+        super_characterizations one_sided_to_idempotent
+        square_closed_forms square_part_equalities
+        square_preserves_sidedness idempotent_canonical_forms
+        idempotent_part_identities idempotent_set_parameterizations
         range_triple_condition triple_conversion
         triple_inverse_complement semi_projection_adjoint
         augmented_form_adjoint idempotent_adjoint_triple""",
@@ -205,14 +200,14 @@ LEDGER = {
         subspace_demorgan semi_projection_characterization
         canonical_sandwich restricted_form_parts augmented_form_parts
         restricted_form_algebra sub_characterizations
-        super_characterizations one_sided_closure_ops
-        one_sided_to_idempotent square_closed_forms
-        square_part_equalities square_preserves_sidedness
-        square_characterization strictness_witnesses
-        idempotent_canonical_forms idempotent_part_identities
-        idempotent_set_parameterizations identity_restriction_criterion
-        smallest_idempotent_above kernel_triple_condition
-        range_triple_condition triple_conversion augmented_form_adjoint
+        super_characterizations one_sided_to_idempotent
+        square_closed_forms square_part_equalities
+        square_preserves_sidedness square_characterization
+        strictness_witnesses idempotent_canonical_forms
+        idempotent_part_identities idempotent_set_parameterizations
+        identity_restriction_criterion smallest_idempotent_above
+        kernel_triple_condition range_triple_condition
+        triple_conversion augmented_form_adjoint
         idempotent_adjoint_triple angle_closed_sum
         angle_dixmier_detects_intersection""",
     ),
@@ -246,6 +241,62 @@ LEDGER = {
         _edit(("return self.intersect(meet.perp())", "return self")),
         10,
         "subspace_demorgan angle_closed_sum",
+    ),
+    # classify decides each flag once, from E o E and leq; these pin that
+    # route now that no second route inside classify cross-checks it.
+    "classify_tests_e_below_its_square_for_sub": Fault(
+        "relcalc.idempotents:classify",
+        _edit(("sub_def = e2.leq(e)", "sub_def = e.leq(e2)")),
+        10,
+        """super_characterizations one_sided_to_idempotent
+        square_closed_forms square_preserves_sidedness
+        square_characterization strictness_witnesses
+        identity_restriction_criterion""",
+    ),
+    "classify_calls_one_side_idempotent": Fault(
+        "relcalc.idempotents:classify",
+        _edit(
+            (
+                "is_idempotent = sub_def and super_def",
+                "is_idempotent = sub_def or super_def",
+            )
+        ),
+        10,
+        "one_sided_to_idempotent identity_restriction_criterion",
+    ),
+    "leq_holds_when_domains_agree": Fault(
+        "relcalc.relations:LinearRelation.leq",
+        _edit(
+            (
+                "return other.graph.contains(self.graph)",
+                "return self.dom == other.dom or other.graph.contains(self.graph)",
+            )
+        ),
+        10,
+        """semi_projection_characterization super_characterizations
+        one_sided_to_idempotent square_closed_forms
+        square_preserves_sidedness strictness_witnesses
+        identity_restriction_criterion""",
+    ),
+    # Thin spot: with S meet T left in both sides this is the Dixmier
+    # cosine, which passes every other angle check; only angle_closed_sum
+    # asks that it stay below 1 when S and T meet.
+    "friedrichs_cos_keeps_the_intersection": Fault(
+        "relcalc.angles:friedrichs_cos",
+        _edit(
+            ("s_part = s.relative_complement(t)", "s_part = s"),
+            ("t_part = t.relative_complement(s)", "t_part = t"),
+        ),
+        10,
+        "angle_closed_sum",
+    ),
+    # Thin spot: M meet S stands in for (M+N) meet S; only
+    # kernel_triple_condition compares ic_holds with a built idempotent.
+    "require_ic_drops_n_from_the_sum": Fault(
+        "relcalc.idempotents:require_ic",
+        _edit(("lhs = m.sum_with(n).intersect(s)", "lhs = m.intersect(s)")),
+        10,
+        "kernel_triple_condition",
     ),
 }
 
