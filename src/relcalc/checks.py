@@ -15,7 +15,7 @@ from .angles import (
     vdot,
     vector_norm,
 )
-from .errors import ICViolationError, InternalCheckError
+from .errors import ICViolationError
 from .idempotents import (
     adjoint_idempotent,
     build_from_range_triple,
@@ -111,7 +111,7 @@ def check_complement_membership(rng, cfg):
         return None
     if not t.ran.intersect(t.dom).contains(c.ker):
         return ce("ker(I-T) escapes ran T meet dom T", t=t)
-    t2 = t.squared()
+    t2 = square(t)
     if not t2.one_minus().ker.contains(c.ker):
         return ce("ker(I-T) escapes ker(I-T^2)", t=t)
     if not c.ran.contains(t2.one_minus().ran):
@@ -416,19 +416,29 @@ def check_one_sided_to_idempotent(rng, cfg):
     return None
 
 
+def _closed_form_miss(e, e2):
+    """E o E is super_form(ker(I-E), ker E, mul E) exactly when E is
+    sub-idempotent and sub_form(ran E, ran(I-E), dom E) exactly when E is
+    super-idempotent: the message for the first form that breaks this, or
+    None."""
+    cls = classify(e)
+    if (e2 == super_form(e.one_minus().ker, e.ker, e.mul)) != cls.is_sub:
+        return "sub closed form disagrees with sub flag"
+    if (e2 == sub_form(e.ran, e.one_minus().ran, e.dom)) != cls.is_super:
+        return "super closed form disagrees with super flag"
+    return None
+
+
 @check("square_closed_forms", ["square-closed-forms"])
 def check_square_closed_forms(rng, cfg):
     e = random_square_pool(rng, cfg)
     cls = classify(e)
     e2 = square(e)
-    if rng.randrange(2):
-        sub_closed = super_form(e.one_minus().ker, e.ker, e.mul)
-        if (e2 == sub_closed) != cls.is_sub:
-            return ce("sub closed form disagrees with sub flag", e=e)
-        return None
-    super_closed = sub_form(e.ran, e.one_minus().ran, e.dom)
-    if (e2 == super_closed) != cls.is_super:
-        return ce("super closed form disagrees with super flag", e=e)
+    miss = _closed_form_miss(e, e2)
+    if miss:
+        return ce(miss, e=e)
+    if (cls.is_sub or cls.is_super) and not classify(e2).is_idempotent:
+        return ce("square of a one-sided idempotent is not idempotent", e=e)
     return None
 
 
@@ -436,14 +446,14 @@ def check_square_closed_forms(rng, cfg):
 def check_square_parts(rng, cfg):
     if rng.randrange(2):
         e = random_sub_idempotent(rng, cfg)
-        e2 = e.squared()
+        e2 = square(e)
         if e2.ker != e.ker or e2.mul != e.mul:
             return ce("squaring a sub changed ker or mul", e=e)
         if e2.one_minus().ker != e.one_minus().ker:
             return ce("squaring a sub changed ker(I-E)", e=e)
         return None
     f = random_super_idempotent(rng, cfg)
-    f2 = f.squared()
+    f2 = square(f)
     if f2.ran != f.ran or f2.dom != f.dom:
         return ce("squaring a super changed ran or dom", e=f)
     if f2.one_minus().ran != f.one_minus().ran:
@@ -454,15 +464,16 @@ def check_square_parts(rng, cfg):
 @check("square_preserves_sidedness", ["square-preserves-sidedness"])
 def check_square_sidedness(rng, cfg):
     if rng.randrange(2):
-        e = random_sub_idempotent(rng, cfg)
-        cls2 = classify(square(e))
-        if not cls2.is_sub or not cls2.is_idempotent:
-            return ce("square of a sub is not an idempotent sub", e=e)
-        return None
-    f = random_super_idempotent(rng, cfg)
-    cls2 = classify(square(f))
-    if not cls2.is_super or not cls2.is_idempotent:
-        return ce("square of a super is not an idempotent super", e=f)
+        side, e = "sub", random_sub_idempotent(rng, cfg)
+    else:
+        side, e = "super", random_super_idempotent(rng, cfg)
+    e2 = square(e)
+    miss = _closed_form_miss(e, e2)
+    if miss:
+        return ce(miss, e=e)
+    cls2 = classify(e2)
+    if not getattr(cls2, f"is_{side}") or not cls2.is_idempotent:
+        return ce(f"square of a {side} is not an idempotent {side}", e=e)
     return None
 
 
@@ -470,7 +481,7 @@ def check_square_sidedness(rng, cfg):
 def check_square_characterization(rng, cfg):
     e = random_square_pool(rng, cfg)
     cls = classify(e)
-    e2 = e.squared()
+    e2 = square(e)
     cls2 = classify(e2)
     sub_route = (
         e2.ker == e.ker
@@ -782,10 +793,13 @@ def check_augmented_adjoint(rng, cfg):
 @check("idempotent_adjoint_triple", ["idempotent-adjoint-triple"])
 def check_idempotent_adjoint(rng, cfg):
     e = random_idempotent(rng, cfg)
-    try:
-        adj, _ = adjoint_idempotent(e)
-    except InternalCheckError as exc:
-        return ce(exc.message, e=e)
+    t = kernel_triple(e)
+    adj, got = adjoint_idempotent(e)
+    if not classify(adj).is_idempotent:
+        return ce("adjoint of an idempotent is not idempotent", e=e)
+    mp, np_, sp = t.m.perp(), t.n.perp(), t.s.perp()
+    if tuple(got) != (np_.intersect(sp), mp.intersect(sp), mp.intersect(np_)):
+        return ce("adjoint kernel triple misses the orthocomplement form", e=e)
     if adj.adjoint() != e:
         return ce("double adjoint moved the idempotent", e=e)
     return None

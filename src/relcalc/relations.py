@@ -283,11 +283,6 @@ class LinearRelation:
         ]
         return LinearRelation(n, m, _read_off(self.graph, e, pairs, n + m))
 
-    @memoized
-    def squared(self) -> "LinearRelation":
-        """E o E, memoized; classify and the square-law checks share it."""
-        return self.compose(self)
-
 
 def _split_at(graph: Subspace, n: int) -> list:
     """The projection of ``graph`` on its first n coordinates and the space

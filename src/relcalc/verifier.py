@@ -149,8 +149,8 @@ def random_relation(
     return LinearRelation(n, m, Subspace.from_int_rows(rows, n + m))
 
 
-def random_operator(rng, cfg, n: int | None = None) -> LinearRelation:
-    n = cfg.ambient_dim if n is None else n
+def random_operator(rng, cfg) -> LinearRelation:
+    n = cfg.ambient_dim
     cols = [_random_int_row(rng, cfg, n) for _ in range(n)]
     rows = []
     for i in range(n):
@@ -169,8 +169,8 @@ def random_super_idempotent(rng, cfg) -> LinearRelation:
     return super_form(*draw_subspaces(rng, cfg, 3))
 
 
-def random_independent_split(rng, cfg, parts: int = 3):
-    """Split a random independent family into ``parts`` transversal spans."""
+def random_independent_split(rng, cfg):
+    """Split a random independent family into three transversal spans."""
     n = cfg.ambient_dim
     target = rng.randint(0, n)
     chosen: list[tuple] = []
@@ -188,9 +188,9 @@ def random_independent_split(rng, cfg, parts: int = 3):
         if grown.dim > current.dim:
             chosen.append(v)
             current = grown
-    groups = [[] for _ in range(parts)]
+    groups = [[], [], []]
     for v in chosen:
-        groups[rng.randrange(parts)].append(v)
+        groups[rng.randrange(3)].append(v)
     return [Subspace.from_int_rows(g, n) for g in groups]
 
 

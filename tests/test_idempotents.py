@@ -122,7 +122,7 @@ def test_classify_witnesses_present():
     pair = cls.witnesses["square_not_below"]
     assert pair is not None
     vec = list(pair[0]) + list(pair[1])
-    assert t.squared().graph.contains(span([vec], 4))
+    assert square(t).graph.contains(span([vec], 4))
     assert not t.graph.contains(span([vec], 4))
 
 

@@ -290,6 +290,26 @@ LEDGER = {
         10,
         "angle_closed_sum",
     ),
+    # square is one composition, with no assertion inside it; this pins that
+    # route, as the classify faults above pin classify's.
+    "square_returns_e": Fault(
+        "relcalc.idempotents:square",
+        _edit(("return e.compose(e)", "return e")),
+        10,
+        """semi_projection_characterization super_characterizations
+        one_sided_to_idempotent square_closed_forms
+        square_preserves_sidedness strictness_witnesses
+        identity_restriction_criterion""",
+    ),
+    # Thin spot: E's own triple stands in for its adjoint's; only
+    # idempotent_adjoint_triple compares the triple with the orthocomplement
+    # form (tier-1 criterion-4 does too).
+    "adjoint_idempotent_returns_the_triple_of_e": Fault(
+        "relcalc.idempotents:adjoint_idempotent",
+        _edit(("return adj, kernel_triple(adj)", "return adj, kernel_triple(e)")),
+        10,
+        "idempotent_adjoint_triple",
+    ),
     # Thin spot: M meet S stands in for (M+N) meet S; only
     # kernel_triple_condition compares ic_holds with a built idempotent.
     "require_ic_drops_n_from_the_sum": Fault(

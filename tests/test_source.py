@@ -1,8 +1,9 @@
 """Source hygiene: the package uses every module-level import and calls every
 public method, the modules of the cold CLI path hold no oracle-only helper,
 each subcommand loads only the modules it runs (no numpy, no ``hashlib``, the
-verifier only for ``fuzz`` and ``checks``), and the value layer's memo is the
-package's only cache."""
+verifier only for ``fuzz`` and ``checks``), the value layer's memo is the
+package's only cache, and only ``angles`` and the verifier raise
+``InternalCheckError``."""
 
 import ast
 import importlib.util
@@ -190,6 +191,42 @@ def test_second_cache_detector(tmp_path):
         "bad.py:5 cache",
         "bad.py:7 cached_property",
     ]
+
+
+# The modules that may raise ``InternalCheckError``: ``angles`` for its numeric
+# Gram guards, ``verifier`` to wrap what a check raises.  Every other module
+# computes each result by one route; the checks state the theorems about it.
+INTERNAL_CHECK_RAISERS = {"angles.py", "verifier.py"}
+
+
+def internal_check_raises(path):
+    """``file:line`` for each ``raise`` of ``InternalCheckError`` in ``path``."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if getattr(exc, "id", getattr(exc, "attr", None)) == "InternalCheckError":
+                lines.append(node.lineno)
+    return [f"{path.name}:{line}" for line in sorted(lines)]
+
+
+def test_internal_check_errors_only_where_allowed():
+    modules = sorted(
+        p for p in PACKAGE.glob("*.py") if p.name not in INTERNAL_CHECK_RAISERS
+    )
+    assert [hit for path in modules for hit in internal_check_raises(path)] == []
+
+
+def test_internal_check_raise_detector(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "from . import errors\nfrom .errors import InternalCheckError\n"
+        "def f(x):\n    if x:\n        raise InternalCheckError('routes differ')\n"
+        "    raise errors.InternalCheckError\n"
+        "def g():\n    try:\n        f(1)\n    except InternalCheckError:\n"
+        "        raise\n    raise ValueError('InternalCheckError')\n"
+    )
+    assert internal_check_raises(bad) == ["bad.py:5", "bad.py:6"]
 
 
 def none_rows(path):
