@@ -35,14 +35,9 @@ def _require_same_ambient(*spaces: Subspace):
 # -- canonical builders -------------------------------------------------------
 
 
-@memoized
 def semi_projection(m: Subspace, n: Subspace) -> LinearRelation:
     """P_{M,N} = I_M hat-plus (N x {0}): ran = M, ker = N, dom = M + N,
-    mul = M meet N.
-
-    Memoized (see :mod:`relcalc.subspaces`): the same (range, kernel) pair
-    recurs constantly inside the canonical-form builders.
-    """
+    mul = M meet N."""
     _require_same_ambient(m, n)
     return LinearRelation.identity_on(m).hat_sum(
         LinearRelation.product_space(n, Subspace.zero(m.ambient_dim))
@@ -239,9 +234,9 @@ def classify(e: LinearRelation) -> Classification:
         witnesses["not_below_square"] = _graph_witness(e, e2)
 
     is_idempotent = sub_def and super_def
-    semi = semi_projection(parts.ran, parts.ker)
-    is_semi = e == semi
-    if not is_semi and is_idempotent:
+    # A semi-projection is idempotent, so only an idempotent E can be one.
+    is_semi = is_idempotent and e == (semi := semi_projection(parts.ran, parts.ker))
+    if is_idempotent and not is_semi:
         witness = _graph_witness(e, semi) or _graph_witness(semi, e)
         witnesses["not_semi_projection"] = witness
     is_operator = parts.mul.is_zero()

@@ -202,7 +202,6 @@ class LinearRelation:
         """Topological closure; the identity map in finite dimension."""
         return self
 
-    @memoized
     def adjoint(self) -> "LinearRelation":
         """T* = {(x, y) : <g, x> = <f, y> for all (f, g) in T} = (-T^-1)^perp.
 

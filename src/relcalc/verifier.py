@@ -221,9 +221,8 @@ def random_semi_projection(rng, cfg) -> LinearRelation:
 
 def random_square_pool(rng, cfg) -> LinearRelation:
     """Mixed population for two-sided equivalence checks."""
-    n = cfg.ambient_dim
     kind = rng.randrange(8)
-    if kind == 0:
+    if kind in (0, 7):
         return random_relation(rng, cfg)
     if kind == 1:
         return random_sub_idempotent(rng, cfg)
@@ -235,9 +234,7 @@ def random_square_pool(rng, cfg) -> LinearRelation:
         return random_semi_projection(rng, cfg)
     if kind == 5:
         return random_operator(rng, cfg)
-    if kind == 6:
-        return LinearRelation.product_space(*draw_subspaces(rng, cfg, 2))
-    return random_relation(rng, cfg, n, n)
+    return LinearRelation.product_space(*draw_subspaces(rng, cfg, 2))
 
 
 def random_subrelation(rng, cfg, t: LinearRelation) -> LinearRelation:

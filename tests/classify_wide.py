@@ -1,15 +1,20 @@
-"""Write the classify-wide relation documents: n -> n relations with n
-generator pairs, every entry drawn by ``random.Random(seed)``.
+"""The classify-wide relation documents: n -> n relations with n generator
+pairs, every entry drawn by ``random.Random(seed)``.  They size
+``classify`` on wide and large-entry inputs.
 
     python tests/classify_wide.py OUTDIR
+    PYTHONPATH=src python tests/classify_wide.py time OUTDIR/<name>.json K
 
-One timing pass is ``relcalc classify OUTDIR/<name>.json`` in a fresh
-process; the documents size ``classify`` on wide and large-entry inputs.
+The first form writes the documents.  The second loads one document once,
+then K times empties the memo, rebuilds the relation from its graph rows
+and times ``classify`` alone with ``time.process_time()``; it prints the
+sum of the K times in seconds.  One timing pass is one such process.
 """
 
 import json
 import random
 import sys
+import time
 from pathlib import Path
 
 DOCS = {
@@ -50,8 +55,30 @@ def document(seed, n, cplx, digits):
     }
 
 
+def classify_seconds(path, k):
+    """CPU seconds of ``classify`` over k cold runs on one document."""
+    from relcalc import subspaces
+    from relcalc.documents import load_document
+    from relcalc.idempotents import classify
+    from relcalc.relations import LinearRelation
+    from relcalc.subspaces import Subspace
+
+    e0, total = load_document(path).payload, 0.0
+    for _ in range(k):
+        subspaces._memo.clear()
+        graph = Subspace.from_int_rows(e0.graph._rows, e0.graph.ambient_dim)
+        e = LinearRelation(e0.dim_in, e0.dim_out, graph)
+        start = time.process_time()
+        classify(e)
+        total += time.process_time() - start
+    return total
+
+
 if __name__ == "__main__":
-    out = Path(sys.argv[1])
-    out.mkdir(exist_ok=True)
-    for name, spec in DOCS.items():
-        (out / f"{name}.json").write_text(json.dumps(document(*spec)) + "\n")
+    if sys.argv[1] == "time":
+        print(classify_seconds(sys.argv[2], int(sys.argv[3])))
+    else:
+        out = Path(sys.argv[1])
+        out.mkdir(exist_ok=True)
+        for name, spec in DOCS.items():
+            (out / f"{name}.json").write_text(json.dumps(document(*spec)) + "\n")

@@ -318,6 +318,48 @@ LEDGER = {
         10,
         "kernel_triple_condition",
     ),
+    # Without the N x {0} block P_{M,N} is I_M, whose kernel is zero.
+    "semi_projection_drops_the_kernel_block": Fault(
+        "relcalc.idempotents:semi_projection",
+        _edit(
+            (
+                ".hat_sum(\n"
+                "        LinearRelation.product_space(n, Subspace.zero(m.ambient_dim))\n"
+                "    )",
+                "",
+            )
+        ),
+        10,
+        """inverse_products semi_projection_characterization
+        canonical_sandwich restricted_form_parts augmented_form_parts
+        restricted_form_algebra augmented_form_algebra
+        sub_characterizations super_characterizations
+        square_closed_forms square_preserves_sidedness
+        strictness_witnesses idempotent_canonical_forms
+        idempotent_set_parameterizations smallest_idempotent_above
+        range_triple_condition triple_conversion
+        triple_inverse_complement semi_projection_adjoint
+        augmented_form_adjoint""",
+    ),
+    # Without the S x H restriction sub_form is P_{M,N} on all of M + N;
+    # largest_idempotent_below sees no other fault in the ledger.
+    "sub_form_drops_the_domain_restriction": Fault(
+        "relcalc.idempotents:sub_form",
+        _edit(
+            (
+                ".meet(\n"
+                "        LinearRelation.product_space(s, Subspace.full(ambient))\n"
+                "    )",
+                "",
+            )
+        ),
+        10,
+        """restricted_form_parts restricted_form_algebra
+        sub_characterizations square_closed_forms
+        square_preserves_sidedness strictness_witnesses
+        idempotent_set_parameterizations largest_idempotent_below
+        range_triple_condition triple_conversion augmented_form_adjoint""",
+    ),
 }
 
 
