@@ -6,9 +6,12 @@ orthonormalization and one small singular value computation, both done
 here on Python complex floats: up to a few dozen columns that costs less
 than loading an array library would.  The Dixmier
 cosine c0 is the largest singular value of the cross-Gram matrix of
-orthonormal bases; the Friedrichs cosine is c0 after exactly splitting off
-the intersection from both sides.  The supremum over an empty quotient is 0
-by convention.
+orthonormal bases.  The Friedrichs cosine c(S, T) is c0 with S meet T split
+off both sides, and it equals c0(S - (S meet T), T): for x orthogonal to
+S meet T and y in T, <x, y> = <x, y - P y> with P the projection onto
+S meet T, and |y - P y| <= |y| (Deutsch, "The angle between subspaces of a
+Hilbert space", 1995).  So it is computed with one split.  The supremum over
+an empty quotient is 0 by convention.
 """
 
 from __future__ import annotations
@@ -135,11 +138,9 @@ def dixmier_cos(s: Subspace, t: Subspace, tol: float = DEFAULT_TOL) -> float:
 
 
 def friedrichs_cos(s: Subspace, t: Subspace, tol: float = DEFAULT_TOL) -> float:
-    """c(S, T): the Dixmier cosine after removing S meet T from both sides
-    exactly; relative_complement rejects mismatched ambients."""
-    s_part = s.relative_complement(t)
-    t_part = t.relative_complement(s)
-    return dixmier_cos(s_part, t_part, tol)
+    """c(S, T) = c0(S - (S meet T), T), with S meet T split off ``s`` exactly;
+    relative_complement rejects mismatched ambients."""
+    return dixmier_cos(s.relative_complement(t), t, tol)
 
 
 def angles_record(s: Subspace, t: Subspace, tol: float = DEFAULT_TOL) -> dict:

@@ -680,9 +680,10 @@ def check_kernel_triple(rng, cfg):
         m.sum_with(n).intersect(m.sum_with(s)) == m
         and m.intersect(n) == m.intersect(s)
     )
-    if ic_holds(m, n, s) != third:
+    holds = ic_holds(m, n, s)
+    if holds != third:
         return ce("IC disagrees with its two-identity form", m=m, n=n, s=s)
-    if not ic_holds(m, n, s):
+    if not holds:
         try:
             build_pmns(m, n, s)
         except ICViolationError:
@@ -705,9 +706,10 @@ def check_range_triple(rng, cfg):
         x == x.intersect(y).sum_with(x.intersect(z))
         and x.sum_with(y) == x.sum_with(z)
     )
-    if range_condition_holds(x, y, z) != third:
+    holds = range_condition_holds(x, y, z)
+    if holds != third:
         return ce("range condition disagrees with its two-identity form", x=x, y=y, z=z)
-    if range_condition_holds(x, y, z):
+    if holds:
         f = build_from_range_triple(x, y, z)
         rt = range_triple(f)
         if (rt.x, rt.y, rt.z) != (x, y, z):

@@ -61,14 +61,15 @@ class InternalCheckError(RelcalcError):
 
 
 def _plain(value):
-    """Best-effort conversion of context values to JSON-encodable data."""
+    """Best-effort conversion of context values to JSON-encodable data; a
+    subspace becomes its document body."""
     if isinstance(value, (str, int, float, bool)) or value is None:
         return value
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
     if isinstance(value, dict):
         return {str(k): _plain(v) for k, v in value.items()}
-    to_payload = getattr(value, "_document_payload", None)
-    if to_payload is not None:
-        return to_payload()
-    return str(value)
+    from .documents import subspace_payload
+    from .subspaces import Subspace
+
+    return subspace_payload(value) if isinstance(value, Subspace) else str(value)

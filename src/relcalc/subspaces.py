@@ -142,12 +142,6 @@ class Subspace:
         )
         return f"Subspace({self.ambient_dim}-dim ambient; span{{{vecs}}})"
 
-    def _document_payload(self) -> dict:
-        """The subspace document body, so error records carry documents."""
-        from .documents import subspace_payload
-
-        return subspace_payload(self)
-
     def _require_same_ambient(self, other: "Subspace"):
         if self.ambient_dim != other.ambient_dim:
             raise DimensionError(

@@ -87,6 +87,45 @@ def test_friedrichs_hand_example():
     assert got == pytest.approx(math.sqrt(2) / 2, abs=1e-9)
 
 
+def _shared_pair(rng, n, complex_entries):
+    """S = M + A and T = M + B for random M, A and B whose dimensions add up
+    to at most n, so that S meet T is, generically, M.  A third of the pairs
+    have S in T (A = 0) and a third a zero meet (M = 0); in the rest, once
+    n > 2, M, A and B are all nonzero."""
+
+    def vectors(k):
+        if complex_entries:
+            return [[GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3))
+                     for _ in range(n)] for _ in range(k)]
+        return [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
+
+    shape = rng.randrange(3)
+    k = 0 if shape == 1 else rng.randint(1, max(1, n - 2 * (shape == 2)))
+    a = 0 if shape == 0 else min(n - k, rng.randint(1, max(1, n - k - 1)))
+    b = rng.randint(min(1, n - k - a), n - k - a)
+    shared = vectors(k)
+    return span(shared + vectors(a), n), span(shared + vectors(b), n)
+
+
+@pytest.mark.parametrize("complex_entries", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_friedrichs_splits_one_side(n, complex_entries):
+    """c(S, T) removes S meet T from S only; removing it from T too gives
+    the same cosine (for x orthogonal to S meet T, <x, y> = <x, y - P y>),
+    and so does splitting T's side, as friedrichs_cos(t, s) does."""
+    rng = random.Random(100 * n + complex_entries)
+    shapes = set()
+    for _ in range(40):
+        s, t = _shared_pair(rng, n, complex_entries)
+        meet = s.intersect(t)
+        shapes.add("nested" if meet in (s, t) else "trivial" if meet.is_zero() else "meet")
+        got = friedrichs_cos(s, t)
+        both = dixmier_cos(s.relative_complement(t), t.relative_complement(s))
+        assert got == pytest.approx(both, abs=1e-12)
+        assert got == pytest.approx(friedrichs_cos(t, s), abs=1e-12)
+    assert shapes == {"nested", "trivial", "meet"} if n > 2 else "nested" in shapes
+
+
 def test_complex_line_angles():
     s = span([[1, I]], 2)
     t = span([[1, -1]], 2)

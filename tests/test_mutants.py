@@ -104,7 +104,7 @@ LEDGER = {
         "relcalc._rowops:conjugate_row",
         lambda conjugate_row: lambda row: row,
         10,
-        "adjoint_parts subspace_demorgan",
+        "adjoint_parts subspace_demorgan angle_range_symmetry",
     ),
     # "T*S* <= (ST)*" is symmetric under the swap; only inverse_products
     # pins which order compose means.
@@ -150,7 +150,8 @@ LEDGER = {
         strictness_witnesses idempotent_canonical_forms
         idempotent_part_identities range_triple_condition
         triple_conversion triple_inverse_complement
-        augmented_form_adjoint idempotent_adjoint_triple""",
+        augmented_form_adjoint idempotent_adjoint_triple
+        angle_range_symmetry angle_closed_sum""",
     ),
     "sum_keeps_only_the_first_residual": Fault(
         "relcalc.subspaces:_sum",
@@ -278,14 +279,19 @@ LEDGER = {
         square_preserves_sidedness strictness_witnesses
         identity_restriction_criterion""",
     ),
-    # Thin spot: with S meet T left in both sides this is the Dixmier
-    # cosine, which passes every other angle check; only angle_closed_sum
-    # asks that it stay below 1 when S and T meet.
+    # Thin spot: with S meet T left in s this is the Dixmier cosine, which
+    # passes every other angle check; only angle_closed_sum asks that it
+    # stay below 1 when S and T meet.  Removing S meet T from t instead of s
+    # is an equivalent fault, which no check can see, so it stays out: for
+    # x in S and y orthogonal to S meet T, <x, y> = <x - P x, y> with P the
+    # projection onto S meet T, so c0(S, T - (S meet T)) = c(S, T).
     "friedrichs_cos_keeps_the_intersection": Fault(
         "relcalc.angles:friedrichs_cos",
         _edit(
-            ("s_part = s.relative_complement(t)", "s_part = s"),
-            ("t_part = t.relative_complement(s)", "t_part = t"),
+            (
+                "dixmier_cos(s.relative_complement(t), t, tol)",
+                "dixmier_cos(s, t, tol)",
+            )
         ),
         10,
         "angle_closed_sum",

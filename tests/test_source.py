@@ -2,8 +2,8 @@
 public method, the modules of the cold CLI path hold no oracle-only helper,
 each subcommand loads only the modules it runs (no numpy, no ``hashlib``, the
 verifier only for ``fuzz`` and ``checks``), the value layer's memo is the
-package's only cache, and only ``angles`` and the verifier raise
-``InternalCheckError``."""
+package's only cache and the value layer never imports ``documents``, and
+only ``angles`` and the verifier raise ``InternalCheckError``."""
 
 import ast
 import importlib.util
@@ -338,24 +338,29 @@ def test_every_public_name_resolves():
 DEFERRED_MODULES = {"idempotents", "angles", "matrices", "scalars"}
 
 
+def package_modules(node):
+    """The relcalc modules that an import statement loads, named within the
+    package; none for any other node."""
+    if isinstance(node, ast.Import):
+        return [a.name.removeprefix("relcalc.") for a in node.names
+                if a.name.startswith("relcalc.")]
+    if isinstance(node, ast.ImportFrom) and (
+        node.level or (node.module or "").partition(".")[0] == "relcalc"
+    ):
+        module = (node.module or "").removeprefix("relcalc").lstrip(".")
+        return [module] if module else [a.name for a in node.names]
+    return []
+
+
 def module_level_imports(path):
     """``file:line module`` for each relcalc module in ``DEFERRED_MODULES``
     that ``path`` imports at module level."""
-    found = []
-    for node in ast.parse(path.read_text(encoding="utf-8")).body:
-        if isinstance(node, ast.Import):
-            modules = [a.name.removeprefix("relcalc.") for a in node.names
-                       if a.name.startswith("relcalc.")]
-        elif isinstance(node, ast.ImportFrom) and (
-            node.level or (node.module or "").partition(".")[0] == "relcalc"
-        ):
-            module = (node.module or "").removeprefix("relcalc").lstrip(".")
-            modules = [module] if module else [a.name for a in node.names]
-        else:
-            continue
-        found += [f"{path.name}:{node.lineno} {m}" for m in modules
-                  if m.partition(".")[0] in DEFERRED_MODULES]
-    return found
+    return [
+        f"{path.name}:{node.lineno} {m}"
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        for m in package_modules(node)
+        if m.partition(".")[0] in DEFERRED_MODULES
+    ]
 
 
 def test_cli_and_documents_defer_their_heavy_imports():
@@ -377,6 +382,39 @@ def test_module_level_import_detector(tmp_path):
         "bad.py:3 matrices",
         "bad.py:4 scalars",
     ]
+
+
+# The value layer renders nothing: ``errors`` turns a subspace in an error's
+# context into its document body, so these modules never reach ``documents``.
+VALUE_LAYER = ("_rowops.py", "subspaces.py", "relations.py")
+
+
+def documents_imports(path):
+    """``file:line`` for each import of ``relcalc.documents`` in ``path``,
+    at any depth."""
+    return [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        for m in package_modules(node)
+        if m.partition(".")[0] == "documents"
+    ]
+
+
+def test_value_layer_does_not_import_documents():
+    paths = [PACKAGE / name for name in VALUE_LAYER]
+    assert [hit for path in paths for hit in documents_imports(path)] == []
+
+
+def test_documents_import_detector(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "from . import documents\nimport relcalc.documents as d\n"
+        "from .errors import DimensionError\n"
+        "def f():\n    from .documents import subspace_payload\n"
+        "    from relcalc import errors, documents\n"
+        "import documents\nfrom .documents_old import x\n"
+    )
+    assert documents_imports(bad) == ["bad.py:1", "bad.py:2", "bad.py:5", "bad.py:6"]
 
 
 # Runs in a fresh interpreter; prints which heavy modules each step loaded
