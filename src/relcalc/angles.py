@@ -145,12 +145,12 @@ def friedrichs_cos(s: Subspace, t: Subspace, tol: float = DEFAULT_TOL) -> float:
 
 def angles_record(s: Subspace, t: Subspace, tol: float = DEFAULT_TOL) -> dict:
     """Machine-readable record: both cosines plus the exact intersection
-    dimension."""
-    meet = s.intersect(t)
+    dimension, dim S less that of the one split S - (S meet T)."""
+    rest = s.relative_complement(t)
     return {
         "dixmier_cos": dixmier_cos(s, t, tol),
-        "friedrichs_cos": friedrichs_cos(s, t, tol),
-        "intersection_dim": meet.dim,
+        "friedrichs_cos": dixmier_cos(rest, t, tol),
+        "intersection_dim": s.dim - rest.dim,
         "dim_left": s.dim,
         "dim_right": t.dim,
         "ambient": s.ambient_dim,

@@ -253,7 +253,8 @@ def classify(e: LinearRelation) -> Classification:
 
 @memoized
 def square(e: LinearRelation) -> LinearRelation:
-    """E o E, memoized; classify and the square-law checks share it.
+    """E o E, memoized; classify, the triples' idempotency test and the
+    square-law checks share it.
 
     The closed forms of the square of a one-sided idempotent are stated by
     the ``square_closed_forms`` and ``square_preserves_sidedness`` checks.
@@ -262,14 +263,14 @@ def square(e: LinearRelation) -> LinearRelation:
     return e.compose(e)
 
 
-def _require_idempotent(e: LinearRelation) -> Classification:
-    cls = classify(e)
-    if not cls.is_idempotent:
+def _require_idempotent(e: LinearRelation) -> None:
+    """Raise :class:`NotIdempotentError` unless E o E = E; only then is E
+    classified, for the witnesses the error carries."""
+    if square(e) != e:
         raise NotIdempotentError(
             "relation is not idempotent",
-            witnesses={k: v for k, v in cls.witnesses.items() if v is not None},
+            witnesses={k: v for k, v in classify(e).witnesses.items() if v is not None},
         )
-    return cls
 
 
 def kernel_triple(e: LinearRelation) -> IdempotentTriple:

@@ -24,7 +24,7 @@ from .errors import DimensionError
 # recomputes what it needs.  A fuzz trial builds fresh random values, so
 # the working set is one trial's: the bound is the smallest power of two
 # whose rref work stays within 1.5 % of an 8,192-entry memo's on the fuzz
-# workloads (README, "Library example").
+# workloads (README, "Layout", the MEMO_BOUND table).
 MEMO_BOUND = 2048
 _memo: dict = {}
 

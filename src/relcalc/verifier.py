@@ -109,6 +109,15 @@ def _random_int_row(rng, cfg, n: int):
     return (1, re, im)
 
 
+def _random_interleaved_row(rng, cfg, e: int, n: int):
+    """(1, re, im) with entries in [-e, e]; on the complex path entry k
+    takes draws 2k (re) and 2k + 1 (im), on the real path im is zero."""
+    if not cfg.complex_enabled:
+        return (1, _random_ints(rng, e, n), (0,) * n)
+    draws = _random_ints(rng, e, 2 * n)
+    return (1, draws[::2], draws[1::2])
+
+
 def random_subspace(rng, cfg) -> Subspace:
     """Row space of a random integer matrix with a random number of rows."""
     n = cfg.ambient_dim
@@ -178,12 +187,7 @@ def random_independent_split(rng, cfg):
     attempts = 0
     while current.dim < target and attempts < 8 * n:
         attempts += 1
-        # Entry k takes draws 2k (re) and 2k + 1 (im) on the complex path.
-        if cfg.complex_enabled:
-            draws = _random_ints(rng, cfg.max_entry, 2 * n)
-            v = (1, draws[::2], draws[1::2])
-        else:
-            v = (1, _random_ints(rng, cfg.max_entry, n), (0,) * n)
+        v = _random_interleaved_row(rng, cfg, cfg.max_entry, n)
         grown = current.sum_with(Subspace.from_int_rows([v], n))
         if grown.dim > current.dim:
             chosen.append(v)
@@ -242,13 +246,7 @@ def random_subrelation(rng, cfg, t: LinearRelation) -> LinearRelation:
     rows = t.graph._rows
     k = rng.randint(0, len(rows))
     width = t.dim_in + t.dim_out
-    coeffs = []
-    for _ in range(k):
-        re, im = [], []
-        for _ in rows:
-            re.append(rng.randint(-2, 2))
-            im.append(rng.randint(-2, 2) if cfg.complex_enabled else 0)
-        coeffs.append((1, re, im))
+    coeffs = [_random_interleaved_row(rng, cfg, 2, len(rows)) for _ in range(k)]
     combos = _combine_rows(coeffs, [(re, im) for _, re, im in rows], width)
     return LinearRelation(
         t.dim_in, t.dim_out, Subspace.from_int_rows(combos, width)

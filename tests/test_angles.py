@@ -112,7 +112,9 @@ def _shared_pair(rng, n, complex_entries):
 def test_friedrichs_splits_one_side(n, complex_entries):
     """c(S, T) removes S meet T from S only; removing it from T too gives
     the same cosine (for x orthogonal to S meet T, <x, y> = <x, y - P y>),
-    and so does splitting T's side, as friedrichs_cos(t, s) does."""
+    and so does splitting T's side, as friedrichs_cos(t, s) does.
+    angles_record reads the same cosine and dim(S meet T) off its one
+    split."""
     rng = random.Random(100 * n + complex_entries)
     shapes = set()
     for _ in range(40):
@@ -123,6 +125,8 @@ def test_friedrichs_splits_one_side(n, complex_entries):
         both = dixmier_cos(s.relative_complement(t), t.relative_complement(s))
         assert got == pytest.approx(both, abs=1e-12)
         assert got == pytest.approx(friedrichs_cos(t, s), abs=1e-12)
+        rec = angles_record(s, t)
+        assert (rec["friedrichs_cos"], rec["intersection_dim"]) == (got, meet.dim)
     assert shapes == {"nested", "trivial", "meet"} if n > 2 else "nested" in shapes
 
 

@@ -26,9 +26,10 @@ from math import gcd, lcm
 from pathlib import Path
 
 import relcalc
-from relcalc import InternalCheckError, _rowops, verifier
+from relcalc import InternalCheckError, _rowops, cli, subspaces, verifier
 from relcalc.verifier import GenConfig, verify_suite
 
+from test_golden import EDGE, GOLDEN, MANIFEST
 from test_mutants import LEDGER, _install
 
 # A 61-bit prime that is 1 (mod 4), so i can be sent to a square root of -1
@@ -161,18 +162,14 @@ class Rejected(Exception):
     """A kernel answer that fails its certificate."""
 
 
-def _certified_suite(monkeypatch, cfg):
-    """Run the whole suite on a fresh memo with every kernel answer
-    certified.  Returns the report, or the first rejection as a message that
-    names the check, the trial, the kernel function and its input."""
-    where = ["setup", None]
+def _certify_kernel(monkeypatch, where):
+    """Certify every answer of the three kernel functions, on a fresh memo.
+    ``where[0]`` names the caller's current step; a rejection is recorded
+    as a message that names it, the kernel function and its input, and is
+    raised as :class:`Rejected`.  Returns the answer counts and the
+    rejections, both filled in as the kernel runs."""
     counts = dict.fromkeys(KERNEL, 0)
     rejections = []
-    trial_rng = verifier.trial_rng
-
-    def tracking(seed, name, index):
-        where[:] = [name, index]
-        return trial_rng(seed, name, index)
 
     def certified(name, fn):
         def wrapper(*args):
@@ -183,8 +180,7 @@ def _certified_suite(monkeypatch, cfg):
             reason = KERNEL[name](args, answer)
             if reason:
                 rejections.append(
-                    f"check {where[0]}, trial {where[1]}: {name} rejected "
-                    f"({reason}); input {args!r}"
+                    f"{where[0]}: {name} rejected ({reason}); input {args!r}"
                 )
                 raise Rejected(rejections[-1])
             return answer
@@ -192,9 +188,24 @@ def _certified_suite(monkeypatch, cfg):
         return wrapper
 
     monkeypatch.setattr("relcalc.subspaces._memo", {})
-    monkeypatch.setattr(verifier, "trial_rng", tracking)
     for name in KERNEL:
         monkeypatch.setattr(_rowops, name, certified(name, getattr(_rowops, name)))
+    return counts, rejections
+
+
+def _certified_suite(monkeypatch, cfg):
+    """Run the whole suite with every kernel answer certified.  Returns the
+    report, or the first rejection as a message that names the check, the
+    trial, the kernel function and its input."""
+    where = ["setup"]
+    trial_rng = verifier.trial_rng
+
+    def tracking(seed, name, index):
+        where[0] = f"check {name}, trial {index}"
+        return trial_rng(seed, name, index)
+
+    counts, rejections = _certify_kernel(monkeypatch, where)
+    monkeypatch.setattr(verifier, "trial_rng", tracking)
     try:
         report = verify_suite(cfg)
     except InternalCheckError:
@@ -239,3 +250,21 @@ def test_the_certificate_rejects_the_ledger_kernel_fault(monkeypatch):
     rejection, _ = _certified_suite(monkeypatch, CFG)
     assert isinstance(rejection, str)
     assert rejection.startswith("check adjoint_hat_sum, trial 5: residual rejected")
+
+
+def test_every_kernel_answer_of_the_golden_corpora_is_certified(
+    tmp_path, monkeypatch, capsys
+):
+    # The CLI path: every entry of both manifests through ``cli.main``, each
+    # on a fresh memo, so each makes all of its own kernel calls.  A
+    # rejection raises out of ``cli.main``, which catches only library
+    # errors.
+    monkeypatch.chdir(GOLDEN)
+    where = ["setup"]
+    counts, _ = _certify_kernel(monkeypatch, where)
+    for i, entry in enumerate(MANIFEST + EDGE):
+        where[0] = f"entry {i} {entry['argv']}"
+        subspaces._memo.clear()
+        cli.main([*entry["argv"], "-o", str(tmp_path / "out.txt")])
+        capsys.readouterr()
+    assert all(counts.values()), counts

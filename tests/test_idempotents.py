@@ -273,10 +273,17 @@ def test_classification_hashes_by_value():
 
 
 def test_kernel_triple_requires_idempotent():
-    t = super_form(line(0, 2), span([[1, 1]], 2), line(1, 2))
-    with pytest.raises(NotIdempotentError) as err:
-        kernel_triple(t)
-    assert "witnesses" in err.value.context
+    # Strictly super- and strictly sub-idempotent: the error carries
+    # classify's witnesses, whichever triple was asked for.
+    sup = super_form(line(0, 2), span([[1, 1]], 2), line(1, 2))
+    sub = LinearRelation.from_generators([([1, 0], [0, 1])], 2, 2)
+    for e in (sup, sub):
+        want = {k: v for k, v in classify(e).witnesses.items() if v is not None}
+        assert want
+        for triple in (kernel_triple, range_triple):
+            with pytest.raises(NotIdempotentError) as err:
+                triple(e)
+            assert err.value.context == {"witnesses": want}
 
 
 def test_triple_convert_example():

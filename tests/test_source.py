@@ -428,7 +428,7 @@ HEAVY = (
     "relcalc.idempotents", "relcalc.angles", "relcalc.verifier", "relcalc.checks",
     "hashlib", "_hashlib", "argparse", "gettext", "locale",
 )
-rel, witness_rel, sub, out, listing = sys.argv[1:]
+rel, witness_rel, idem_rel, sub, out, listing = sys.argv[1:]
 stages = {}
 seen = set(sys.modules)
 
@@ -451,6 +451,8 @@ record("angles")
 assert main(["classify", rel, "-o", out]) == 0
 assert json.load(open(out))["witnesses"] == {}
 record("classify")
+assert main(["triple", idem_rel, "--kind", "kernel", "-o", out]) == 0
+record("triple")
 assert main(["classify", witness_rel, "-o", out]) == 0
 assert json.load(open(out))["witnesses"]["not_below_square"] is not None
 record("classify with a witness")
@@ -467,7 +469,9 @@ def test_cold_path_imports(tmp_path):
     """No subcommand loads numpy, ``angles`` included. ``parts`` loads none
     of the heavy modules, ``angles`` only ``relcalc.angles``, and
     ``classify`` only ``relcalc.idempotents``, plus ``fractions`` (and with
-    it ``decimal``) when it prints a witness. Only ``checks`` (and ``fuzz``)
+    it ``decimal``) when it prints a witness; ``triple`` on an idempotent
+    that is not a semi-projection loads neither, since it tests E o E = E
+    and classifies only a relation it rejects. Only ``checks`` (and ``fuzz``)
     load the fuzz verifier, on first use, and with it ``dataclasses`` and
     ``inspect``, which no other subcommand loads. No subcommand loads
     ``hashlib`` and with it OpenSSL: the fuzz streams take SHA-256 from
@@ -494,6 +498,11 @@ def test_cold_path_imports(tmp_path):
     # relation (E o E = 0 < E), which has one.
     rel = relation(tmp_path / "e.rel", [[["1", "0"], ["1", "0"]], [["0", "1"], ["0", "0"]]])
     witness_rel = relation(tmp_path / "w.rel", [[["1", "0"], ["0", "1"]]])
+    # An idempotent with mul E = span(e_2), so P_{ran E, ker E} = I differs
+    # from it and classify would build a witness.
+    idem_rel = relation(
+        tmp_path / "i.rel", [[["1", "0"], ["1", "0"]], [["0", "0"], ["0", "1"]]]
+    )
     sub = tmp_path / "s.sub"
     sub.write_text(
         json.dumps(
@@ -501,7 +510,7 @@ def test_cold_path_imports(tmp_path):
         )
     )
     listing = tmp_path / "checks.json"
-    argv = [rel, witness_rel, sub, tmp_path / "out.json", listing]
+    argv = [rel, witness_rel, idem_rel, sub, tmp_path / "out.json", listing]
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     done = subprocess.run(
         [sys.executable, "-c", COLD_PATH_SCRIPT, *map(str, argv)],
@@ -528,6 +537,7 @@ def test_cold_path_imports(tmp_path):
         "parts": [],
         "angles": ["relcalc.angles"],
         "classify": ["relcalc.idempotents"],
+        "triple": [],
         "classify with a witness": ["fractions", "decimal"],
         "checks": ["relcalc.verifier", "relcalc.checks"],
         "fuzz": [],
