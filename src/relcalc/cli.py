@@ -67,26 +67,14 @@ def _cmd_classify(args) -> int:
     from .idempotents import classify
 
     e = _load_kind(args.relation, "relation")
-    record = classify(e)._asdict()
-    record["witnesses"] = {
-        key: None if pair is None else [[str(z) for z in half] for half in pair]
-        for key, pair in record["witnesses"].items()
-    }
-    _emit_json(record, args.output)
+    _emit_json(documents.plain(classify(e)._asdict()), args.output)
     return 0
 
 
 def _cmd_parts(args) -> int:
     e = _load_kind(args.relation, "relation")
-    p = e.parts()
-    record = {
-        "dom": documents.subspace_payload(p.dom),
-        "ran": documents.subspace_payload(p.ran),
-        "ker": documents.subspace_payload(p.ker),
-        "mul": documents.subspace_payload(p.mul),
-        "graph_dim": e.graph.dim,
-    }
-    _emit_json(record, args.output)
+    record = {**e.parts()._asdict(), "graph_dim": e.graph.dim}
+    _emit_json(documents.plain(record), args.output)
     return 0
 
 
@@ -151,13 +139,13 @@ def _cmd_convert_triple(args) -> int:
 
 
 def _cmd_ic(args) -> int:
-    from .idempotents import require_ic
+    from .idempotents import IdempotentTriple
 
     m = _load_kind(args.m, "subspace")
     n = _load_kind(args.n, "subspace")
     s = _load_kind(args.s, "subspace")
     try:
-        require_ic(m, n, s)
+        IdempotentTriple(m, n, s)
     except ICViolationError:
         _emit("IC: violated", args.output)
         raise

@@ -133,6 +133,19 @@ def subspace_payload(s: Subspace) -> dict:
     return {"ambient": s.ambient_dim, "basis": [format_row(r) for r in s._rows]}
 
 
+def plain(value):
+    """``value`` as JSON-encodable data: a subspace becomes its document
+    body, tuples become lists, dict keys strings, and any other object its
+    ``str``."""
+    if isinstance(value, (str, int, float, bool)) or value is None:
+        return value
+    if isinstance(value, (list, tuple)):
+        return [plain(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): plain(v) for k, v in value.items()}
+    return subspace_payload(value) if isinstance(value, Subspace) else str(value)
+
+
 def relation_payload(t: LinearRelation) -> dict:
     n = t.dim_in
     rows = [format_row(r) for r in t.graph._rows]

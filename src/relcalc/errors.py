@@ -19,10 +19,12 @@ class RelcalcError(Exception):
 
     def record(self) -> dict:
         """Machine-readable error record ``{code, message, context}``."""
+        from .documents import plain
+
         return {
             "code": self.exit_code,
             "message": self.message,
-            "context": {k: _plain(v) for k, v in self.context.items()},
+            "context": plain(self.context),
         }
 
 
@@ -47,7 +49,7 @@ class PreconditionError(RelcalcError):
 
 
 class ICViolationError(PreconditionError):
-    """The triple fails (M+N) ∩ S = M ∩ N; carries both sides."""
+    """A triple fails its condition; carries both sides."""
 
 
 class NotIdempotentError(PreconditionError):
@@ -58,18 +60,3 @@ class InternalCheckError(RelcalcError):
     """Two routes that must agree by construction disagreed. Always a bug."""
 
     exit_code = 5
-
-
-def _plain(value):
-    """Best-effort conversion of context values to JSON-encodable data; a
-    subspace becomes its document body."""
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _plain(v) for k, v in value.items()}
-    from .documents import subspace_payload
-    from .subspaces import Subspace
-
-    return subspace_payload(value) if isinstance(value, Subspace) else str(value)

@@ -66,67 +66,33 @@ def super_form(m: Subspace, n: Subspace, s: Subspace) -> LinearRelation:
 # -- triples -----------------------------------------------------------------
 
 
-def require_ic(m: Subspace, n: Subspace, s: Subspace) -> None:
-    """Raise :class:`ICViolationError`, carrying both sides, unless the
-    idempotency condition (M+N) meet S = M meet N holds."""
-    _require_same_ambient(m, n, s)
-    lhs = m.sum_with(n).intersect(s)
-    rhs = m.intersect(n)
-    if lhs != rhs:
-        raise ICViolationError(
-            "idempotency condition violated: (M+N) meet S != M meet N",
-            lhs=lhs,
-            rhs=rhs,
-        )
-
-
-def require_range_condition(x: Subspace, y: Subspace, z: Subspace) -> None:
-    """Raise :class:`ICViolationError`, carrying both sides, unless the
-    range-triple condition X meet Y + Z = X + Y holds."""
-    _require_same_ambient(x, y, z)
-    lhs = x.intersect(y).sum_with(z)
-    rhs = x.sum_with(y)
-    if lhs != rhs:
-        raise ICViolationError(
-            "range condition violated: X meet Y + Z != X + Y",
-            lhs=lhs,
-            rhs=rhs,
-        )
-
-
-def ic_holds(m: Subspace, n: Subspace, s: Subspace) -> bool:
-    """The idempotency condition (M+N) meet S = M meet N."""
-    try:
-        require_ic(m, n, s)
-    except ICViolationError:
-        return False
-    return True
-
-
-def range_condition_holds(x: Subspace, y: Subspace, z: Subspace) -> bool:
-    """The range-triple condition X meet Y + Z = X + Y."""
-    try:
-        require_range_condition(x, y, z)
-    except ICViolationError:
-        return False
-    return True
-
-
 class _Triple(tuple):
-    """Three subspaces, named by ``_fields``, that pass the class's
-    ``_condition`` on construction.  A triple equals and hashes alike only
-    triples of its own class: a kernel triple is never a range triple."""
+    """Three subspaces, named by ``_fields``, whose two sides, ``_sides``,
+    agree; the constructor raises with ``_violation`` when they differ.  A
+    triple equals and hashes alike only triples of its own class: a kernel
+    triple is never a range triple."""
 
     __slots__ = ()
     _fields: tuple[str, str, str]
+    _violation: str
 
     def __init_subclass__(cls):
         for i, name in enumerate(cls._fields):
             setattr(cls, name, property(itemgetter(i)))
 
     def __new__(cls, a: Subspace, b: Subspace, c: Subspace):
-        cls._condition(a, b, c)
+        _require_same_ambient(a, b, c)
+        lhs, rhs = cls._sides(a, b, c)
+        if lhs != rhs:
+            raise ICViolationError(cls._violation, lhs=lhs, rhs=rhs)
         return super().__new__(cls, (a, b, c))
+
+    @classmethod
+    def holds(cls, a: Subspace, b: Subspace, c: Subspace) -> bool:
+        """Whether (a, b, c) is a triple of this class."""
+        _require_same_ambient(a, b, c)
+        lhs, rhs = cls._sides(a, b, c)
+        return lhs == rhs
 
     def __eq__(self, other):
         return type(other) is type(self) and tuple.__eq__(self, other)
@@ -147,19 +113,33 @@ class _Triple(tuple):
 
 
 class IdempotentTriple(_Triple):
-    """(ker(I-E), ker E, mul E) of an idempotent; carries the IC."""
+    """(ker(I-E), ker E, mul E) of an idempotent; carries the idempotency
+    condition (M+N) meet S = M meet N."""
 
     __slots__ = ()
     _fields = ("m", "n", "s")
-    _condition = staticmethod(require_ic)
+    _violation = "idempotency condition violated: (M+N) meet S != M meet N"
+
+    @staticmethod
+    def _sides(m: Subspace, n: Subspace, s: Subspace):
+        return m.sum_with(n).intersect(s), m.intersect(n)
 
 
 class RangeTriple(_Triple):
-    """(ran E, ran(I-E), dom E) of an idempotent."""
+    """(ran E, ran(I-E), dom E) of an idempotent; carries the range-triple
+    condition X meet Y + Z = X + Y."""
 
     __slots__ = ()
     _fields = ("x", "y", "z")
-    _condition = staticmethod(require_range_condition)
+    _violation = "range condition violated: X meet Y + Z != X + Y"
+
+    @staticmethod
+    def _sides(x: Subspace, y: Subspace, z: Subspace):
+        return x.intersect(y).sum_with(z), x.sum_with(y)
+
+
+ic_holds = IdempotentTriple.holds
+range_condition_holds = RangeTriple.holds
 
 
 def build_pmns(m: Subspace, n: Subspace, s: Subspace) -> LinearRelation:
@@ -168,16 +148,14 @@ def build_pmns(m: Subspace, n: Subspace, s: Subspace) -> LinearRelation:
     Requires the idempotency condition; the offending subspaces ride along
     on the error when it fails.
     """
-    require_ic(m, n, s)
-    return super_form(m, n, s)
+    return super_form(*IdempotentTriple(m, n, s))
 
 
 def build_from_range_triple(
     x: Subspace, y: Subspace, z: Subspace
 ) -> LinearRelation:
     """The unique idempotent with ran F = X, ran(I-F) = Y, dom F = Z."""
-    require_range_condition(x, y, z)
-    return sub_form(x, y, z)
+    return sub_form(*RangeTriple(x, y, z))
 
 
 # -- classification ------------------------------------------------------------
@@ -330,8 +308,9 @@ def adjoint_idempotent(
     In finite dimension the adjoint of an idempotent is again idempotent and
     its kernel triple is the component-wise construction
     (N-perp meet S-perp, M-perp meet S-perp, M-perp meet N-perp); the
-    ``idempotent_adjoint_triple`` check states both facts.
+    ``idempotent_adjoint_triple`` check states both facts.  So only E is
+    tested for E o E = E, and the triple is read off the parts of E*.
     """
     _require_idempotent(e)
     adj = e.adjoint()
-    return adj, kernel_triple(adj)
+    return adj, IdempotentTriple(adj.one_minus().ker, adj.ker, adj.mul)

@@ -1,9 +1,10 @@
-"""Every kernel answer of one fuzz suite, certified.
+"""Every kernel answer of two fuzz suites, the golden corpora and the
+classify-wide documents, certified.
 
 Every "independent" route of the fuzz checks ends in the same three kernel
 functions, ``_rowops.rref``, ``residual`` and ``nullspace``, so a kernel
 fault that breaks both sides of an identity alike goes unseen.  These tests
-wrap the three for one suite and check each answer, not the code that made
+wrap the three for each run and check each answer, not the code that made
 it: a certifying checker after Blum and Kannan, "Designing programs that
 check their work", JACM 42(1), 1995.  The checker shares only the row format
 ``(den, re, im)`` with ``_rowops``:
@@ -20,17 +21,23 @@ check their work", JACM 42(1), 1995.  The checker shares only the row format
 """
 
 import importlib
+import json
 import pkgutil
 import re
 from math import gcd, lcm
 from pathlib import Path
 
+import pytest
+
 import relcalc
 from relcalc import InternalCheckError, _rowops, cli, subspaces, verifier
+from relcalc.documents import parse_document
+from relcalc.idempotents import classify
 from relcalc.verifier import GenConfig, verify_suite
 
+from classify_wide import DOCS, document
 from test_golden import EDGE, GOLDEN, MANIFEST
-from test_mutants import LEDGER, _install
+from test_mutants import LEDGER, _edit, _install
 
 # A 61-bit prime that is 1 (mod 4), so i can be sent to a square root of -1
 # in GF(P); 7 is a quadratic non-residue modulo P.
@@ -268,3 +275,64 @@ def test_every_kernel_answer_of_the_golden_corpora_is_certified(
         cli.main([*entry["argv"], "-o", str(tmp_path / "out.txt")])
         capsys.readouterr()
     assert all(counts.values()), counts
+
+
+# Wider rows and larger entries than fuzz-d4's: the real dim-8 suite, whose
+# widths reach 32, and one cold classify of each classify-wide document,
+# whose widths reach 96.  d1500 takes seconds certified, so a 200-digit
+# n = 4 document stands in for it.
+D8_REAL = GenConfig(ambient_dim=8, trials=5, seed=1, complex_enabled=False)
+WIDE = {
+    **{name: DOCS[name] for name in ("r32", "c24", "c32", "r48")},
+    "d200": (200, 4, True, 200),
+}
+
+
+def _certified_classify(monkeypatch, names):
+    """Parse and classify each named document on a fresh memo, with every
+    kernel answer certified.  Returns the first rejection, or ``None``, and
+    the answer counts."""
+    where = ["setup"]
+    counts, rejections = _certify_kernel(monkeypatch, where)
+    for name in names:
+        where[0] = f"classify {name}"
+        subspaces._memo.clear()
+        try:
+            classify(parse_document(json.dumps(document(*WIDE[name]))).payload)
+        except Rejected:
+            return rejections[0], counts
+    return None, counts
+
+
+def test_every_kernel_answer_of_a_real_dim_8_suite_is_certified(monkeypatch):
+    report, counts = _certified_suite(monkeypatch, D8_REAL)
+    assert isinstance(report, dict), report
+    assert report["pass"]
+    assert all(counts.values()), counts
+
+
+@pytest.mark.parametrize("name", list(WIDE))
+def test_every_kernel_answer_of_a_wide_classify_is_certified(monkeypatch, name):
+    rejection, counts = _certified_classify(monkeypatch, [name])
+    assert rejection is None
+    assert counts["rref"] and counts["residual"], counts
+
+
+# Past width 64 ``zeros`` hands out the shared width-64 tuple: every real row
+# wider than that leaves the kernel with a short ``im``, which ``zip`` then
+# cuts its ``re`` down to.  Of all the certified inputs only r32 and r48
+# reach that branch, with real rows 96 wide; the fuzz suites, the golden
+# corpora, c24, c32 and d200 are all accepted under it.  ``classify`` prints
+# the same flags for r32 and r48 with the fault as without it, so only the
+# certificate sees it.
+ZEROS_CAPPED_AT_64 = _edit(("else (0,) * width", "else _ZEROS[-1]"))
+
+
+def test_the_certificate_rejects_a_fault_only_wide_rows_reach(monkeypatch):
+    monkeypatch.setattr(_rowops, "zeros", ZEROS_CAPPED_AT_64(_rowops.zeros))
+    rejection, _ = _certified_classify(monkeypatch, list(WIDE))
+    assert isinstance(rejection, str)
+    assert rejection.startswith(
+        "classify r32: rref rejected (row has a bad denominator or length)"
+    )
+    assert rejection.endswith(", 96)")

@@ -16,12 +16,15 @@ exactly and whose two cosines must match to 1e-12.
 in the same format: dims 0, 1 and 2, real and complex entries, zero and full
 spaces, rectangular 0->1, 1->0, 1->2 and 2->1 relations and both triple
 kinds, under every subcommand and every ``build``, ``triple``,
-``convert-triple`` and ``ic`` form, plus the refusals that no other test
+``convert-triple`` and ``ic`` form, ``angles`` of subspaces that meet, plus
+the refusals that no other test
 reaches: ``build`` with the wrong number of files, a top-level JSON array, a
 string for a basis vector, a list for a triple component (exit 2) and a
 triple component of another ambient (exit 3).  Its values were checked by
 hand; for example, the full 0->1 relation composed after the full 1->0 one is
-the full 1->1 relation.
+the full 1->1 relation, and span{e1, e2} against span{e1, e2 + e3} in Q^3
+meets in span{e1}, so its Dixmier cosine is 1 and its Friedrichs cosine, the
+angle of e2 with the plane, is 1/sqrt(2).
 """
 
 import hashlib
@@ -59,6 +62,12 @@ def test_edge_corpus_covers_every_form():
         entry["argv"][-1] for entry in EDGE if entry["kind"] == "triple"
     }
     assert {entry["exit"] for entry in EDGE if entry["kind"] == "ic"} == {0, 4}
+    # S meet T != 0, where the Friedrichs cosine differs from the Dixmier one.
+    assert any(
+        entry["output"]["intersection_dim"] > 0
+        for entry in EDGE
+        if entry["kind"] == "angles" and entry["exit"] == 0
+    )
     assert {entry["exit"] for entry in EDGE} == {0, 2, 3, 4}
     triples = [
         json.loads((GOLDEN / entry["argv"][1]).read_text(encoding="utf-8"))

@@ -219,6 +219,47 @@ def test_triple_guards():
         RangeTriple(line(0, 2), Subspace.zero(2), Subspace.full(2))
 
 
+def test_conditions_decide_without_raising(monkeypatch):
+    # ic_holds and range_condition_holds compare the two sides and build no
+    # error; the constructors and the builders raise the one record.
+    built = []
+    init = ICViolationError.__init__
+
+    def counting(self, *args, **context):
+        built.append(args)
+        init(self, *args, **context)
+
+    monkeypatch.setattr(ICViolationError, "__init__", counting)
+    kernel = (line(0, 2), line(1, 2), span([[1, 1]], 2))
+    ranges = (line(0, 2), Subspace.zero(2), Subspace.full(2))
+    assert not ic_holds(*kernel) and not range_condition_holds(*ranges)
+    assert built == []
+    plane = {"ambient": 2, "basis": [["1", "0"], ["0", "1"]]}
+    records = {
+        (IdempotentTriple, build_pmns): (
+            "idempotency condition violated: (M+N) meet S != M meet N",
+            {"ambient": 2, "basis": [["1", "1"]]},
+            {"ambient": 2, "basis": []},
+        ),
+        (RangeTriple, build_from_range_triple): (
+            "range condition violated: X meet Y + Z != X + Y",
+            plane,
+            {"ambient": 2, "basis": [["1", "0"]]},
+        ),
+    }
+    for (triple, build), (message, lhs, rhs) in records.items():
+        spaces = kernel if triple is IdempotentTriple else ranges
+        for route in (triple, build):
+            with pytest.raises(ICViolationError) as err:
+                route(*spaces)
+            assert err.value.record() == {
+                "code": 4,
+                "message": message,
+                "context": {"lhs": lhs, "rhs": rhs},
+            }
+    assert len(built) == 4
+
+
 def test_triples_compare_only_within_their_class():
     full = Subspace.full(3)
     kt = IdempotentTriple(full, full, full)
@@ -386,6 +427,24 @@ def test_adjoint_idempotent_requires_idempotent():
     t = super_form(line(0, 2), span([[1, 1]], 2), line(1, 2))
     with pytest.raises(NotIdempotentError):
         adjoint_idempotent(t)
+
+
+def test_adjoint_idempotent_squares_only_e(monkeypatch):
+    # E o E = E is tested for E; the adjoint's triple is read off its parts.
+    from relcalc import idempotents
+
+    calls = []
+    square = idempotents.square
+
+    def counting(rel):
+        calls.append(rel)
+        return square(rel)
+
+    monkeypatch.setattr(idempotents, "square", counting)
+    e_rel = build_pmns(span([[1, 1, 0]], 3), line(1, 3), line(2, 3))
+    adj, t = adjoint_idempotent(e_rel)
+    assert calls == [e_rel]
+    assert t == kernel_triple(adj)
 
 
 @settings(max_examples=40)

@@ -116,7 +116,7 @@ LEDGER = {
     ),
     "build_pmns_returns_sub_form": Fault(
         "relcalc.idempotents:build_pmns",
-        _edit(("return super_form(m, n, s)", "return sub_form(m, n, s)")),
+        _edit(("return super_form(*IdempotentTriple", "return sub_form(*IdempotentTriple")),
         10,
         "triple_conversion",
     ),
@@ -312,15 +312,21 @@ LEDGER = {
     # form (tier-1 criterion-4 does too).
     "adjoint_idempotent_returns_the_triple_of_e": Fault(
         "relcalc.idempotents:adjoint_idempotent",
-        _edit(("return adj, kernel_triple(adj)", "return adj, kernel_triple(e)")),
+        _edit(
+            (
+                "IdempotentTriple(adj.one_minus().ker, adj.ker, adj.mul)",
+                "IdempotentTriple(e.one_minus().ker, e.ker, e.mul)",
+            )
+        ),
         10,
         "idempotent_adjoint_triple",
     ),
-    # Thin spot: M meet S stands in for (M+N) meet S; only
-    # kernel_triple_condition compares ic_holds with a built idempotent.
-    "require_ic_drops_n_from_the_sum": Fault(
-        "relcalc.idempotents:require_ic",
-        _edit(("lhs = m.sum_with(n).intersect(s)", "lhs = m.intersect(s)")),
+    # Thin spot: M meet S stands in for (M+N) meet S, in ic_holds and in
+    # the constructor alike; only kernel_triple_condition compares ic_holds
+    # with a built idempotent.
+    "ic_sides_drop_n_from_the_sum": Fault(
+        "relcalc.idempotents:IdempotentTriple._sides",
+        _edit(("return m.sum_with(n).intersect(s)", "return m.intersect(s)")),
         10,
         "kernel_triple_condition",
     ),

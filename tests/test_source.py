@@ -384,8 +384,9 @@ def test_module_level_import_detector(tmp_path):
     ]
 
 
-# The value layer renders nothing: ``errors`` turns a subspace in an error's
-# context into its document body, so these modules never reach ``documents``.
+# The value layer renders nothing: ``documents.plain`` turns a subspace in an
+# error's context into its document body, so these modules never reach
+# ``documents``.
 VALUE_LAYER = ("_rowops.py", "subspaces.py", "relations.py")
 
 
