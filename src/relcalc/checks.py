@@ -736,7 +736,10 @@ def check_triple_conversion(rng, cfg):
         return None
     e = random_idempotent(rng, cfg)
     rt2 = range_triple(e)
-    if triple_convert(range_to_kernel(rt2)) != rt2:
+    kt = range_to_kernel(rt2)
+    if not ic_holds(*kt):
+        return ce("range -> kernel conversion fails the IC", e=e)
+    if triple_convert(kt) != rt2:
         return ce("range -> kernel -> range round trip failed", e=e)
     if triple_convert(kernel_triple(e)) != rt2:
         return ce("triple conversion disagrees with the relation parts", e=e)
@@ -799,6 +802,8 @@ def check_idempotent_adjoint(rng, cfg):
     adj, got = adjoint_idempotent(e)
     if not classify(adj).is_idempotent:
         return ce("adjoint of an idempotent is not idempotent", e=e)
+    if not ic_holds(*got):
+        return ce("adjoint kernel triple fails the IC", e=e)
     mp, np_, sp = t.m.perp(), t.n.perp(), t.s.perp()
     if tuple(got) != (np_.intersect(sp), mp.intersect(sp), mp.intersect(np_)):
         return ce("adjoint kernel triple misses the orthocomplement form", e=e)

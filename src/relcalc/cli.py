@@ -118,11 +118,7 @@ def _cmd_triple(args) -> int:
     from . import idempotents
 
     e = _load_kind(args.relation, "relation")
-    if args.kind == "kernel":
-        triple = idempotents.kernel_triple(e)
-    else:
-        triple = idempotents.range_triple(e)
-    _emit_document(triple, args.output)
+    _emit_document(getattr(idempotents, f"{args.kind}_triple")(e), args.output)
     return 0
 
 

@@ -18,7 +18,7 @@ condition (M+N) meet S = M meet N holds, or the range triple
 
 from __future__ import annotations
 
-from operator import itemgetter
+from collections import namedtuple
 from typing import NamedTuple
 
 from .errors import DimensionError, ICViolationError, NotIdempotentError
@@ -66,26 +66,22 @@ def super_form(m: Subspace, n: Subspace, s: Subspace) -> LinearRelation:
 # -- triples -----------------------------------------------------------------
 
 
-class _Triple(tuple):
-    """Three subspaces, named by ``_fields``, whose two sides, ``_sides``,
-    agree; the constructor raises with ``_violation`` when they differ.  A
-    triple equals and hashes alike only triples of its own class: a kernel
-    triple is never a range triple."""
+class _Triple:
+    """Three subspaces whose two sides, ``_sides``, agree; the constructor
+    raises with ``_violation`` when they differ.  Only the triples that hold
+    by theorem, read off an idempotent or converted, skip it through the
+    namedtuple's ``_make``.  A triple equals and hashes alike only triples of
+    its own class: a kernel triple is never a range triple."""
 
     __slots__ = ()
-    _fields: tuple[str, str, str]
     _violation: str
-
-    def __init_subclass__(cls):
-        for i, name in enumerate(cls._fields):
-            setattr(cls, name, property(itemgetter(i)))
 
     def __new__(cls, a: Subspace, b: Subspace, c: Subspace):
         _require_same_ambient(a, b, c)
         lhs, rhs = cls._sides(a, b, c)
         if lhs != rhs:
             raise ICViolationError(cls._violation, lhs=lhs, rhs=rhs)
-        return super().__new__(cls, (a, b, c))
+        return super().__new__(cls, a, b, c)
 
     @classmethod
     def holds(cls, a: Subspace, b: Subspace, c: Subspace) -> bool:
@@ -104,20 +100,18 @@ class _Triple(tuple):
         return hash((type(self), *self))
 
     def __reduce__(self):
-        # Copies and pickles check the condition again in __new__.
+        # Copies and pickles, at every protocol, check again in __new__.
         return type(self), tuple(self)
 
-    def __repr__(self):
-        body = ", ".join(f"{k}={v!r}" for k, v in zip(self._fields, self))
-        return f"{type(self).__name__}({body})"
+    def _replace(self, **changes):
+        return type(self)(*super()._replace(**changes))
 
 
-class IdempotentTriple(_Triple):
+class IdempotentTriple(_Triple, namedtuple("IdempotentTriple", "m n s")):
     """(ker(I-E), ker E, mul E) of an idempotent; carries the idempotency
     condition (M+N) meet S = M meet N."""
 
     __slots__ = ()
-    _fields = ("m", "n", "s")
     _violation = "idempotency condition violated: (M+N) meet S != M meet N"
 
     @staticmethod
@@ -125,12 +119,11 @@ class IdempotentTriple(_Triple):
         return m.sum_with(n).intersect(s), m.intersect(n)
 
 
-class RangeTriple(_Triple):
+class RangeTriple(_Triple, namedtuple("RangeTriple", "x y z")):
     """(ran E, ran(I-E), dom E) of an idempotent; carries the range-triple
     condition X meet Y + Z = X + Y."""
 
     __slots__ = ()
-    _fields = ("x", "y", "z")
     _violation = "range condition violated: X meet Y + Z != X + Y"
 
     @staticmethod
@@ -254,26 +247,28 @@ def _require_idempotent(e: LinearRelation) -> None:
 def kernel_triple(e: LinearRelation) -> IdempotentTriple:
     """(ker(I-E), ker E, mul E); raises when E is not idempotent."""
     _require_idempotent(e)
-    return IdempotentTriple(e.one_minus().ker, e.ker, e.mul)
+    return IdempotentTriple._make((e.one_minus().ker, e.ker, e.mul))
 
 
 def range_triple(e: LinearRelation) -> RangeTriple:
     """(ran E, ran(I-E), dom E); raises when E is not idempotent."""
     _require_idempotent(e)
-    return RangeTriple(e.ran, e.one_minus().ran, e.dom)
+    return RangeTriple._make((e.ran, e.one_minus().ran, e.dom))
 
 
 def triple_convert(t: IdempotentTriple) -> RangeTriple:
-    """Kernel triple to range triple: (M+S, N+S, M+N)."""
-    return RangeTriple(
-        t.m.sum_with(t.s), t.n.sum_with(t.s), t.m.sum_with(t.n)
+    """Kernel triple to range triple: (M+S, N+S, M+N), valid for any M, N, S
+    since S <= X meet Y makes X meet Y + Z = M+N+S = X+Y."""
+    return RangeTriple._make(
+        (t.m.sum_with(t.s), t.n.sum_with(t.s), t.m.sum_with(t.n))
     )
 
 
 def range_to_kernel(t: RangeTriple) -> IdempotentTriple:
-    """Range triple to kernel triple: (X meet Z, Y meet Z, X meet Y)."""
-    return IdempotentTriple(
-        t.x.intersect(t.z), t.y.intersect(t.z), t.x.intersect(t.y)
+    """Range triple to kernel triple: (X meet Z, Y meet Z, X meet Y), valid
+    for any X, Y, Z since M+N <= Z makes (M+N) meet S = X meet Y meet Z."""
+    return IdempotentTriple._make(
+        (t.x.intersect(t.z), t.y.intersect(t.z), t.x.intersect(t.y))
     )
 
 
@@ -309,8 +304,9 @@ def adjoint_idempotent(
     its kernel triple is the component-wise construction
     (N-perp meet S-perp, M-perp meet S-perp, M-perp meet N-perp); the
     ``idempotent_adjoint_triple`` check states both facts.  So only E is
-    tested for E o E = E, and the triple is read off the parts of E*.
+    tested for E o E = E, and the triple is read off the parts of E*
+    without checking its condition again.
     """
     _require_idempotent(e)
     adj = e.adjoint()
-    return adj, IdempotentTriple(adj.one_minus().ker, adj.ker, adj.mul)
+    return adj, IdempotentTriple._make((adj.one_minus().ker, adj.ker, adj.mul))

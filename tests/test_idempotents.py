@@ -274,6 +274,68 @@ def test_triples_compare_only_within_their_class():
     assert (kt.m, kt.n, kt.s) == (rt.x, rt.y, rt.z) == (full, full, full)
 
 
+def count_sides(monkeypatch):
+    """The class name of each triple whose two sides are evaluated, in order."""
+    calls = []
+    for triple in (IdempotentTriple, RangeTriple):
+
+        def counting(a, b, c, sides=triple._sides, name=triple.__name__):
+            calls.append(name)
+            return sides(a, b, c)
+
+        monkeypatch.setattr(triple, "_sides", staticmethod(counting))
+    return calls
+
+
+def test_derived_triples_are_not_rechecked(monkeypatch):
+    # The triples of E and E* and both conversions hold by theorem, which the
+    # checks state; only a triple built from given subspaces is checked.
+    e_rel = build_pmns(span([[1, 1, 0]], 3), line(1, 3), line(2, 3))
+    calls = count_sides(monkeypatch)
+    kt, rt = kernel_triple(e_rel), range_triple(e_rel)
+    adj, adj_triple = adjoint_idempotent(e_rel)
+    assert triple_convert(kt) == rt and range_to_kernel(rt) == kt
+    assert calls == []
+    assert build_pmns(*adj_triple) == adj
+    assert calls == ["IdempotentTriple"]
+
+
+def test_replace_checks_the_condition():
+    full, zero, x_axis = Subspace.full(2), Subspace.zero(2), line(0, 2)
+    cases = [
+        (IdempotentTriple(full, zero, zero), {"n": full}, (full, full, zero), {"m": zero}),
+        (RangeTriple(full, zero, full), {"x": x_axis}, (x_axis, zero, full), {"y": full}),
+    ]
+    for t, bad, bad_spaces, good in cases:
+        with pytest.raises(ICViolationError) as want:
+            type(t)(*bad_spaces)
+        with pytest.raises(ICViolationError) as got:
+            t._replace(**bad)
+        assert got.value.record() == want.value.record()
+        back = t._replace(**good)
+        assert type(back) is type(t)
+        assert back == type(t)(*{**t._asdict(), **good}.values())
+
+
+def test_copies_and_pickles_check_once(monkeypatch):
+    # Every protocol rebuilds through the constructor; without __reduce__,
+    # protocols 0 and 1 would rebuild a namedtuple without it.
+    e_rel = build_pmns(span([[1, 1, 0]], 3), line(1, 3), line(2, 3))
+    triples = [kernel_triple(e_rel), range_triple(e_rel)]
+    calls = count_sides(monkeypatch)
+    copiers = [copy.copy, copy.deepcopy] + [
+        lambda value, protocol=protocol: pickle.loads(pickle.dumps(value, protocol))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+    ]
+    for t in triples:
+        for copier in copiers:
+            calls.clear()
+            back = copier(t)
+            assert calls == [type(t).__name__]
+            assert type(back) is type(t)
+            assert back == t and hash(back) == hash(t)
+
+
 def test_values_survive_copy_and_pickle(monkeypatch):
     # A fresh memo, so no flush can separate a value from its copies.
     monkeypatch.setattr("relcalc.subspaces._memo", {})

@@ -314,8 +314,8 @@ LEDGER = {
         "relcalc.idempotents:adjoint_idempotent",
         _edit(
             (
-                "IdempotentTriple(adj.one_minus().ker, adj.ker, adj.mul)",
-                "IdempotentTriple(e.one_minus().ker, e.ker, e.mul)",
+                "IdempotentTriple._make((adj.one_minus().ker, adj.ker, adj.mul))",
+                "IdempotentTriple._make((e.one_minus().ker, e.ker, e.mul))",
             )
         ),
         10,

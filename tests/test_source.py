@@ -2,8 +2,9 @@
 public method, the modules of the cold CLI path hold no oracle-only helper,
 each subcommand loads only the modules it runs (no numpy, no ``hashlib``, the
 verifier only for ``fuzz`` and ``checks``), the value layer's memo is the
-package's only cache and the value layer never imports ``documents``, and
-only ``angles`` and the verifier raise ``InternalCheckError``."""
+package's only cache and the value layer never imports ``documents``,
+only ``angles`` and the verifier raise ``InternalCheckError``, and only the
+triples that hold by theorem skip the triple constructors' check."""
 
 import ast
 import importlib.util
@@ -227,6 +228,63 @@ def test_internal_check_raise_detector(tmp_path):
         "        raise\n    raise ValueError('InternalCheckError')\n"
     )
     assert internal_check_raises(bad) == ["bad.py:5", "bad.py:6"]
+
+
+# The functions of ``idempotents`` whose triples hold by theorem: the triples
+# of an idempotent and of its adjoint, and the two conversions.  Only they
+# build a triple with the namedtuple's unchecked ``_make``, so a triple made
+# from parsed or user input always meets the constructor's check.
+UNCHECKED_TRIPLE_BUILDERS = {
+    "kernel_triple", "range_triple", "adjoint_idempotent",
+    "triple_convert", "range_to_kernel",
+}
+
+
+def unchecked_triples(path):
+    """``file:line`` for each reach of ``._make`` in ``path`` outside the
+    module-level functions of ``idempotents.py`` named in
+    ``UNCHECKED_TRIPLE_BUILDERS``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    allowed = set()
+    if path.name == "idempotents.py":
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name in UNCHECKED_TRIPLE_BUILDERS:
+                allowed.update(map(id, ast.walk(node)))
+    lines = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "_make"
+        and id(node) not in allowed
+    ]
+    return [f"{path.name}:{line}" for line in sorted(lines)]
+
+
+def test_unchecked_triples_only_where_they_hold_by_theorem():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert [hit for path in modules for hit in unchecked_triples(path)] == []
+
+
+def test_unchecked_triple_detector(tmp_path):
+    source = (
+        "from .idempotents import IdempotentTriple as T\n"
+        "def kernel_triple(e):\n    return T._make((e.a, e.b, e.c))\n"
+        "def parse(doc):\n    return T._make(doc)\n"
+        "class C:\n    def range_to_kernel(self):\n        return T._make(self)\n"
+        "make = T._make\n"
+    )
+    for name in ("idempotents.py", "documents.py"):
+        (tmp_path / name).write_text(source)
+    assert unchecked_triples(tmp_path / "idempotents.py") == [
+        "idempotents.py:5",
+        "idempotents.py:8",
+        "idempotents.py:9",
+    ]
+    assert unchecked_triples(tmp_path / "documents.py") == [
+        "documents.py:3",
+        "documents.py:5",
+        "documents.py:8",
+        "documents.py:9",
+    ]
 
 
 def none_rows(path):
