@@ -1,10 +1,10 @@
 """Dixmier and Friedrichs cosines between subspaces, in floating point.
 
 The pipeline is exact-first: intersections and relative complements are
-removed in Q(i) before any float conversion, so the only numerical work is
-orthonormalization and one small singular value computation, both done
-here on Python complex floats: up to a few dozen columns that costs less
-than loading an array library would.  The Dixmier
+removed, and bases orthogonalized, in Q(i) before any float conversion, so
+the only numerical work is normalization and one small singular value
+computation, both done here on Python complex floats: up to a few dozen
+columns that costs less than loading an array library would.  The Dixmier
 cosine c0 is the largest singular value of the cross-Gram matrix of
 orthonormal bases.  The Friedrichs cosine c(S, T) is c0 with S meet T split
 off both sides, and it equals c0(S - (S meet T), T): for x orthogonal to
@@ -23,10 +23,10 @@ from .errors import InternalCheckError, PreconditionError
 from .subspaces import Subspace
 
 DEFAULT_TOL = 1e-9
-# Gram-Schmidt residuals of canonical basis rows have norm at least 1 and
-# the Gram check's round-off stays near 1e-16, so a tolerance in this range
-# never fails on correct input; past 0.5, comparisons of cosines in [0, 1]
-# mean little.  Outside it the tolerance is bad input, not a breach.
+# The rows are orthogonalized exactly, so the Gram check's round-off stays
+# near 1e-16 at any condition number of the basis, and a tolerance in this
+# range never fails on correct input; past 0.5, comparisons of cosines in
+# [0, 1] mean little.  Outside it the tolerance is bad input, not a breach.
 MIN_TOL, MAX_TOL = 1e-12, 0.5
 # One-sided Jacobi: a pair of rows counts as orthogonal once |<a, b>| <=
 # _JACOBI_EPS * |a| |b|; convergence is quadratic, so a few sweeps do.
@@ -56,29 +56,35 @@ def vector_norm(w) -> float:
 def orthonormal_basis_f64(
     s: Subspace, tol: float = DEFAULT_TOL
 ) -> tuple[tuple[complex, ...], ...]:
-    """Orthonormal float rows approximating the exact subspace ``s``, one
-    per basis row: modified Gram-Schmidt with one reorthogonalization pass.
+    """Orthonormal float rows spanning the exact subspace ``s``, one per
+    basis row.
 
-    The exact basis rows are independent, so no rank decisions happen in
-    floats; the Gram matrix is checked against the identity to ``tol``.
-    Each canonical integer row is divided by its largest real or imaginary
-    part (the denominator cancels); integer true division rounds correctly,
-    so entries past the float range still convert.
+    Gram-Schmidt runs exactly, fraction-free over the Gaussian integers:
+    each canonical integer row w becomes N w - <u, w> u for every earlier
+    orthogonal row u of squared norm N, with its content divided out.  Only
+    then is each row divided by its largest real or imaginary part (integer
+    true division rounds correctly, so entries past the float range still
+    convert) and normalized in floats.  No rank decision happens in floats,
+    and the Gram matrix is checked against the identity to ``tol``.
     """
     require_tol(tol)
+    ortho: list[tuple[list[int], list[int], int]] = []
     basis: list[tuple[complex, ...]] = []
     for _, re, im in s._rows:
-        top = max(map(abs, re + im))
-        w = [complex(x / top, y / top) for x, y in zip(re, im)]
-        for _ in range(2):
-            for u in basis:
-                c = vdot(u, w)
-                w = [b - c * a for a, b in zip(u, w)]
-        norm = vector_norm(w)
-        if norm <= tol:
-            raise InternalCheckError(
-                "exact basis row collapsed during orthonormalization"
+        for ure, uim, sq in ortho:
+            # <u, w> = cre + i cim, conjugate-linear in u.
+            cre = sum(a * x + b * y for a, b, x, y in zip(ure, uim, re, im))
+            cim = sum(a * y - b * x for a, b, x, y in zip(ure, uim, re, im))
+            re, im = (
+                [sq * x - cre * a + cim * b for a, b, x in zip(ure, uim, re)],
+                [sq * y - cre * b - cim * a for a, b, y in zip(ure, uim, im)],
             )
+            g = math.gcd(*re, *im)
+            re, im = [x // g for x in re], [y // g for y in im]
+        ortho.append((re, im, sum(x * x for x in re) + sum(y * y for y in im)))
+        top = max(map(abs, [*re, *im]))
+        w = [complex(x / top, y / top) for x, y in zip(re, im)]
+        norm = vector_norm(w)
         basis.append(tuple(z / norm for z in w))
     for i, u in enumerate(basis):
         for j, w in enumerate(basis):

@@ -21,15 +21,9 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import NamedTuple
 
-from .errors import DimensionError, ICViolationError, NotIdempotentError
+from .errors import ICViolationError, NotIdempotentError
 from .relations import LinearRelation
 from .subspaces import Subspace, memoized
-
-
-def _require_same_ambient(*spaces: Subspace):
-    ambients = {s.ambient_dim for s in spaces}
-    if len(ambients) > 1:
-        raise DimensionError(f"mixed ambient dimensions {sorted(ambients)}")
 
 
 # -- canonical builders -------------------------------------------------------
@@ -38,7 +32,7 @@ def _require_same_ambient(*spaces: Subspace):
 def semi_projection(m: Subspace, n: Subspace) -> LinearRelation:
     """P_{M,N} = I_M hat-plus (N x {0}): ran = M, ker = N, dom = M + N,
     mul = M meet N."""
-    _require_same_ambient(m, n)
+    m._require_same_ambient(n)
     return LinearRelation.identity_on(m).hat_sum(
         LinearRelation.product_space(n, Subspace.zero(m.ambient_dim))
     )
@@ -46,7 +40,7 @@ def semi_projection(m: Subspace, n: Subspace) -> LinearRelation:
 
 def sub_form(m: Subspace, n: Subspace, s: Subspace) -> LinearRelation:
     """P_{M,N} restricted to inputs in S; sub-idempotent by construction."""
-    _require_same_ambient(m, n, s)
+    m._require_same_ambient(n, s)
     ambient = m.ambient_dim
     return semi_projection(m, n).meet(
         LinearRelation.product_space(s, Subspace.full(ambient))
@@ -56,7 +50,7 @@ def sub_form(m: Subspace, n: Subspace, s: Subspace) -> LinearRelation:
 def super_form(m: Subspace, n: Subspace, s: Subspace) -> LinearRelation:
     """P_{M,N} with the multivalued block {0} x S; super-idempotent by
     construction."""
-    _require_same_ambient(m, n, s)
+    m._require_same_ambient(n, s)
     ambient = m.ambient_dim
     return semi_projection(m, n).hat_sum(
         LinearRelation.product_space(Subspace.zero(ambient), s)
@@ -77,7 +71,6 @@ class _Triple:
     _violation: str
 
     def __new__(cls, a: Subspace, b: Subspace, c: Subspace):
-        _require_same_ambient(a, b, c)
         lhs, rhs = cls._sides(a, b, c)
         if lhs != rhs:
             raise ICViolationError(cls._violation, lhs=lhs, rhs=rhs)
@@ -86,7 +79,6 @@ class _Triple:
     @classmethod
     def holds(cls, a: Subspace, b: Subspace, c: Subspace) -> bool:
         """Whether (a, b, c) is a triple of this class."""
-        _require_same_ambient(a, b, c)
         lhs, rhs = cls._sides(a, b, c)
         return lhs == rhs
 
@@ -192,7 +184,6 @@ def classify(e: LinearRelation) -> Classification:
     ker(I-E) = ran E meet dom E and ran(I-E) = ker E + mul E, are stated by
     the ``sub_characterizations`` and ``super_characterizations`` checks.
     """
-    e._require_square()
     parts = e.parts()
     e2 = square(e)
     sub_def = e2.leq(e)
@@ -279,7 +270,6 @@ def minimal_idempotent(
     m: Subspace, n: Subspace, s: Subspace
 ) -> LinearRelation:
     """Smallest idempotent E with M <= ker(I-E), N <= ker E, S <= mul E."""
-    _require_same_ambient(m, n, s)
     return sub_form(m.sum_with(s), n.sum_with(s), m.sum_with(n))
 
 
@@ -287,7 +277,6 @@ def maximal_idempotent(
     x: Subspace, y: Subspace, z: Subspace
 ) -> LinearRelation:
     """Largest idempotent F with ran F <= X, ran(I-F) <= Y, dom F <= Z."""
-    _require_same_ambient(x, y, z)
     restricted_dom = z.intersect(x).sum_with(z.intersect(y))
     return sub_form(x, y, restricted_dom)
 

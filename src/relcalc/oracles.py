@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from . import _rowops
 from .errors import DimensionError
-from .idempotents import _require_same_ambient, super_form
+from .idempotents import super_form
 from .relations import LinearRelation
 from .subspaces import Subspace
 
@@ -97,8 +97,8 @@ def compose_by_slot_elimination(
         raise DimensionError("slot mismatch")
     n, e, m = t.dim_in, t.dim_out, s.dim_out
     total = n + e + m
-    lift_t = _embed(t.graph, total, 0).sum_with(_embed(Subspace.full(m), total, n + e))
-    lift_s = _embed(s.graph, total, n).sum_with(_embed(Subspace.full(n), total, 0))
+    lift_t = _cylinder(t.graph, total, range(n + e))
+    lift_s = _cylinder(s.graph, total, range(n, total))
     triple = intersect_by_stacking(lift_t, lift_s)
     rows = [
         (den, re[:n] + re[n + e :], im[:n] + im[n + e :])
@@ -113,8 +113,8 @@ def plus_by_slot_elimination(t: LinearRelation, s: LinearRelation) -> LinearRela
     t._require_same_dims(s)
     n, m = t.dim_in, t.dim_out
     total = n + m + m
-    lift_t = _embed(t.graph, total, 0).sum_with(_embed(Subspace.full(m), total, n + m))
-    lift_s = _lift_outer(s.graph, n, m).sum_with(_embed(Subspace.full(m), total, n))
+    lift_t = _cylinder(t.graph, total, range(n + m))
+    lift_s = _cylinder(s.graph, total, [*range(n), *range(n + m, total)])
     pairs = intersect_by_stacking(lift_t, lift_s)
     rows = []
     for den, re, im in pairs._rows:
@@ -124,25 +124,19 @@ def plus_by_slot_elimination(t: LinearRelation, s: LinearRelation) -> LinearRela
     return LinearRelation(n, m, Subspace.from_int_rows(rows, n + m))
 
 
-def _embed(space: Subspace, total: int, offset: int) -> Subspace:
+def _cylinder(space: Subspace, total: int, columns) -> Subspace:
+    """space x F^rest inside F^total: the rows of ``space`` placed on
+    ``columns``, a unit row on every other column, and one ``rref``."""
     rows = []
     for den, re, im in space._rows:
-        nre = [0] * total
-        nre[offset : offset + len(re)] = re
-        nim = [0] * total
-        nim[offset : offset + len(im)] = im
+        nre, nim = [0] * total, [0] * total
+        for c, x, y in zip(columns, re, im):
+            nre[c], nim[c] = x, y
         rows.append((den, nre, nim))
-    return Subspace.from_int_rows(rows, total)
-
-
-def _lift_outer(space: Subspace, n: int, m: int) -> Subspace:
-    """Embed a graph subspace of F^(n+m) into F^(n+m+m) on slots (0, 2)."""
-    total = n + 2 * m
-    rows = []
-    for den, re, im in space._rows:
-        nre = list(re[:n]) + [0] * m + list(re[n:])
-        nim = list(im[:n]) + [0] * m + list(im[n:])
-        rows.append((den, nre, nim))
+    for c in set(range(total)).difference(columns):
+        unit = [0] * total
+        unit[c] = 1
+        rows.append((1, unit, [0] * total))
     return Subspace.from_int_rows(rows, total)
 
 
@@ -152,5 +146,4 @@ def maximal_idempotent_hat_form(
     """The same largest idempotent written additively:
     super_form(X meet Z, Y meet Z, X meet Y).  Kept as the second route for
     the equality check on the two constructions."""
-    _require_same_ambient(x, y, z)
     return super_form(x.intersect(z), y.intersect(z), x.intersect(y))

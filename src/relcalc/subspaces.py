@@ -142,11 +142,13 @@ class Subspace:
         )
         return f"Subspace({self.ambient_dim}-dim ambient; span{{{vecs}}})"
 
-    def _require_same_ambient(self, other: "Subspace"):
-        if self.ambient_dim != other.ambient_dim:
-            raise DimensionError(
-                f"ambient mismatch: {self.ambient_dim} != {other.ambient_dim}"
-            )
+    def _require_same_ambient(self, *others: "Subspace"):
+        """The package's one ambient check, for any number of subspaces."""
+        n = self.ambient_dim
+        for other in others:
+            if other.ambient_dim != n:
+                ambients = {n, *(o.ambient_dim for o in others)}
+                raise DimensionError(f"mixed ambient dimensions {sorted(ambients)}")
 
     # -- lattice operations ------------------------------------------------
 

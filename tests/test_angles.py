@@ -195,6 +195,23 @@ def test_entries_past_the_float_range(big):
     )
 
 
+@pytest.mark.parametrize("big", [10**20, 10**400], ids=["1e20", "1e400"])
+def test_rows_nearly_parallel_after_scaling(big):
+    """span{(1, 0, big), (0, 1, big)}: scaled by their largest entries the
+    two rows agree but for 1/big, far below any float tolerance, yet the
+    exact Gram-Schmidt keeps them apart (condition number about big)."""
+    s = span([[1, 0, big], [0, 1, big]], 3)
+    rec = angles_record(s, span([e(0, 3)], 3))
+    assert rec["dixmier_cos"] == pytest.approx(math.sqrt(2) / 2, abs=1e-12)
+    assert rec["friedrichs_cos"] == pytest.approx(math.sqrt(2) / 2, abs=1e-12)
+    assert rec["intersection_dim"] == 0
+    rec = angles_record(s, span([e(0, 3), e(1, 3)], 3))
+    assert rec["intersection_dim"] == 1
+    assert rec["dixmier_cos"] == pytest.approx(1.0, abs=1e-12)
+    # The rest of S, span{(1, 1, 2 big)}, meets the plane at 1/(sqrt(2) big).
+    assert rec["friedrichs_cos"] == pytest.approx(0.0, abs=1e-12)
+
+
 def test_angles_record_fields():
     rec = angles_record(span([e(0, 2)], 2), span([[1, 1]], 2))
     assert rec["intersection_dim"] == 0

@@ -254,6 +254,20 @@ def test_angles_record(spaces, capsys, tmp_path):
     assert rec["dixmier_cos"] == pytest.approx(1.0, abs=1e-9)
 
 
+def test_angles_of_mixed_ambients_is_a_dimension_error(spaces, capsys, tmp_path):
+    line = write(
+        tmp_path / "line.sub",
+        {"kind": "subspace", "version": "1", "ambient": 2, "basis": [["1", "0"]]},
+    )
+    code, out, err = run(capsys, "angles", line, spaces["m"])
+    assert (code, out) == (3, "")
+    assert json.loads(err) == {
+        "code": 3,
+        "message": "mixed ambient dimensions [2, 3]",
+        "context": {},
+    }
+
+
 @pytest.mark.parametrize("tol", ["nan", "-1", "0", "1e-300", "inf", "0.6"])
 def test_bad_tolerance_is_a_precondition_error(spaces, capsys, tol):
     for argv in (

@@ -16,15 +16,18 @@ exactly and whose two cosines must match to 1e-12.
 in the same format: dims 0, 1 and 2, real and complex entries, zero and full
 spaces, rectangular 0->1, 1->0, 1->2 and 2->1 relations and both triple
 kinds, under every subcommand and every ``build``, ``triple``,
-``convert-triple`` and ``ic`` form, ``angles`` of subspaces that meet, plus
-the refusals that no other test
+``convert-triple`` and ``ic`` form, ``angles`` of subspaces that meet and of
+span{(1, 0, 10^20), (0, 1, 10^20)}, whose rows, each scaled by its largest
+entry, differ by 10^-20, plus the refusals that no other test
 reaches: ``build`` with the wrong number of files, a top-level JSON array, a
 string for a basis vector, a list for a triple component (exit 2) and a
 triple component of another ambient (exit 3).  Its values were checked by
 hand; for example, the full 0->1 relation composed after the full 1->0 one is
 the full 1->1 relation, and span{e1, e2} against span{e1, e2 + e3} in Q^3
 meets in span{e1}, so its Dixmier cosine is 1 and its Friedrichs cosine, the
-angle of e2 with the plane, is 1/sqrt(2).
+angle of e2 with the plane, is 1/sqrt(2).  The 10^20 plane meets span{e1}
+at 1/sqrt(2) and span{e1, e2} in span{(1, -1, 0)}, with Friedrichs cosine
+sqrt(2) / sqrt(2 + 4 * 10^40), the cosine of (1, 1, 2 * 10^20) with that plane.
 """
 
 import hashlib

@@ -237,6 +237,17 @@ LEDGER = {
         10,
         "angle_range_symmetry angle_dixmier_detects_intersection",
     ),
+    # A bilinear vdot makes <u, u> of a complex unit row differ from 1, so
+    # the Gram check raises in every angle check, the three that see no
+    # other fault included.
+    "vdot_drops_the_conjugate": Fault(
+        "relcalc.angles:vdot",
+        _edit(("map(complex.conjugate, u)", "u")),
+        10,
+        """angle_range_symmetry angle_closed_sum
+        angle_dixmier_detects_intersection angle_coincide_trivial_meet
+        angle_monotonicity angle_sampled_sup_bound""",
+    ),
     "relative_complement_returns_self": Fault(
         "relcalc.subspaces:Subspace.relative_complement",
         _edit(("return self.intersect(meet.perp())", "return self")),

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from relcalc import DimensionError, GaussianRational, LinearRelation, Subspace
-from relcalc import _rowops
-from relcalc.oracles import intersect_by_stacking
+from relcalc import _rowops, idempotents
+from relcalc.angles import angles_record, dixmier_cos, friedrichs_cos
+from relcalc.oracles import intersect_by_stacking, maximal_idempotent_hat_form
 
 from vectors import I, e, span
 
@@ -282,6 +283,45 @@ def test_zero_full_and_equal_operands_make_no_kernel_call(monkeypatch):
     assert not any(calls.values())
     # The counters do count: a proper containment asks the kernel.
     assert plane.contains(span([e(0, n)], n)) and calls["member"] == 1
+
+
+# Every public entry point that takes two or more subspaces, with their number.
+MIXED_AMBIENT_ENTRY_POINTS = {
+    "sum_with": (Subspace.sum_with, 2),
+    "intersect": (Subspace.intersect, 2),
+    "contains": (Subspace.contains, 2),
+    "relative_complement": (Subspace.relative_complement, 2),
+    "semi_projection": (idempotents.semi_projection, 2),
+    "sub_form": (idempotents.sub_form, 3),
+    "super_form": (idempotents.super_form, 3),
+    "build_pmns": (idempotents.build_pmns, 3),
+    "build_from_range_triple": (idempotents.build_from_range_triple, 3),
+    "IdempotentTriple": (idempotents.IdempotentTriple, 3),
+    "RangeTriple": (idempotents.RangeTriple, 3),
+    "ic_holds": (idempotents.ic_holds, 3),
+    "range_condition_holds": (idempotents.range_condition_holds, 3),
+    "minimal_idempotent": (idempotents.minimal_idempotent, 3),
+    "maximal_idempotent": (idempotents.maximal_idempotent, 3),
+    "dixmier_cos": (dixmier_cos, 2),
+    "friedrichs_cos": (friedrichs_cos, 2),
+    "angles_record": (angles_record, 2),
+    "intersect_by_stacking": (intersect_by_stacking, 2),
+    "maximal_idempotent_hat_form": (maximal_idempotent_hat_form, 3),
+}
+
+
+@pytest.mark.parametrize("name", list(MIXED_AMBIENT_ENTRY_POINTS))
+def test_mixed_ambients_raise_one_record(name):
+    """One rule, stated once: an operand of another ambient, in any
+    position, raises the same DimensionError."""
+    fn, arity = MIXED_AMBIENT_ENTRY_POINTS[name]
+    small, big = span([e(0, 2)], 2), span([e(1, 3)], 3)
+    for odd in range(arity):
+        args = [small] * arity
+        args[odd] = big
+        with pytest.raises(DimensionError) as err:
+            fn(*args)
+        assert err.value.message == "mixed ambient dimensions [2, 3]"
 
 
 @pytest.mark.parametrize(
