@@ -125,22 +125,21 @@ def _largest_singular_value(rows: list[list[complex]]) -> float:
     return max(vector_norm(r) for r in rows)
 
 
+def _cos(bs, bt) -> float:
+    """c0 from orthonormal bases, clamped into [0, 1]; 0 if either is empty."""
+    if not bs or not bt:
+        return 0.0
+    # Rows from the smaller basis: transposing keeps the singular values.
+    bs, bt = sorted((bs, bt), key=len)
+    cross = [[vdot(v, u) for v in bt] for u in bs]
+    return min(max(_largest_singular_value(cross), 0.0), 1.0)
+
+
 def dixmier_cos(s: Subspace, t: Subspace, tol: float = DEFAULT_TOL) -> float:
     """c0(S, T): sup of |<x, y>| over unit vectors; 0 when either side is
     trivial; clamped into [0, 1]."""
     s._require_same_ambient(t)
-    require_tol(tol)
-    if s.is_zero() or t.is_zero():
-        return 0.0
-    bs = orthonormal_basis_f64(s, tol)
-    bt = orthonormal_basis_f64(t, tol)
-    if len(bs) > len(bt):
-        bs, bt = bt, bs
-    # One row per vector of the smaller basis; a conjugate transpose of
-    # the cross-Gram matrix has the same singular values.
-    cross = [[vdot(v, u) for v in bt] for u in bs]
-    top = _largest_singular_value(cross)
-    return min(max(top, 0.0), 1.0)
+    return _cos(orthonormal_basis_f64(s, tol), orthonormal_basis_f64(t, tol))
 
 
 def friedrichs_cos(s: Subspace, t: Subspace, tol: float = DEFAULT_TOL) -> float:
@@ -153,9 +152,10 @@ def angles_record(s: Subspace, t: Subspace, tol: float = DEFAULT_TOL) -> dict:
     """Machine-readable record: both cosines plus the exact intersection
     dimension, dim S less that of the one split S - (S meet T)."""
     rest = s.relative_complement(t)
+    bt = orthonormal_basis_f64(t, tol)
     return {
-        "dixmier_cos": dixmier_cos(s, t, tol),
-        "friedrichs_cos": dixmier_cos(rest, t, tol),
+        "dixmier_cos": _cos(orthonormal_basis_f64(s, tol), bt),
+        "friedrichs_cos": _cos(orthonormal_basis_f64(rest, tol), bt),
         "intersection_dim": s.dim - rest.dim,
         "dim_left": s.dim,
         "dim_right": t.dim,

@@ -4,11 +4,19 @@ pairs, every entry drawn by ``random.Random(seed)``.  They size
 
     python tests/classify_wide.py OUTDIR
     PYTHONPATH=src python tests/classify_wide.py time OUTDIR/<name>.json K
+    PYTHONPATH=src python tests/classify_wide.py angles OUTDIR [NAME ...]
 
 The first form writes the documents.  The second loads one document once,
 then K times empties the memo, rebuilds the relation from its graph rows
 and times ``classify`` alone with ``time.process_time()``; it prints the
 sum of the K times in seconds.  One timing pass is one such process.
+
+The third sizes ``relcalc angles``.  For each named shape of ``ANGLES``
+(all five by default) it writes two subspace documents, OUTDIR/<name>-s.json
+and OUTDIR/<name>-t.json, each spanned by n/2 vectors with entries in
+[-9, 9], loads them, and prints the CPU seconds of one
+``orthonormal_basis_f64`` of S and of one ``angles_record`` of S and T on an
+empty memo.
 """
 
 import json
@@ -24,6 +32,15 @@ DOCS = {
     "r48": (48, 48, False, 0),
     "c24": (2424, 24, True, 0),
     "d1500": (1500, 4, True, 1500),
+}
+
+ANGLES = {
+    # name: (seed, n, complex); two subspaces of dimension n/2 in F^n
+    "a-c32": (32, 32, True),
+    "a-c64": (64, 64, True),
+    "a-r128": (128, 128, False),
+    "a-c128": (1280, 128, True),
+    "a-r256": (256, 256, False),
 }
 
 
@@ -74,9 +91,54 @@ def classify_seconds(path, k):
     return total
 
 
+def subspace_documents(seed, n, cplx):
+    """Two subspace documents, each spanned by n // 2 random vectors."""
+    rng = random.Random(seed)
+    return [
+        {
+            "kind": "subspace",
+            "version": "1",
+            "ambient": n,
+            "basis": [
+                [scalar(entry(rng, 0), entry(rng, 0) if cplx else 0) for _ in range(n)]
+                for _ in range(n // 2)
+            ],
+        }
+        for _ in range(2)
+    ]
+
+
+def angles_seconds(out, name):
+    """CPU seconds of one orthonormal_basis_f64 of S and of one
+    angles_record of S and T, for the ANGLES shape ``name``."""
+    from relcalc import subspaces
+    from relcalc.angles import angles_record, orthonormal_basis_f64
+    from relcalc.documents import load_document
+
+    s, t = (
+        load_document(path).payload
+        for path in (out / f"{name}-s.json", out / f"{name}-t.json")
+    )
+    start = time.process_time()
+    orthonormal_basis_f64(s)
+    basis = time.process_time() - start
+    subspaces._memo.clear()
+    start = time.process_time()
+    angles_record(s, t)
+    return basis, time.process_time() - start
+
+
 if __name__ == "__main__":
     if sys.argv[1] == "time":
         print(classify_seconds(sys.argv[2], int(sys.argv[3])))
+    elif sys.argv[1] == "angles":
+        out = Path(sys.argv[2])
+        out.mkdir(exist_ok=True)
+        for name in sys.argv[3:] or ANGLES:
+            for side, doc in zip("st", subspace_documents(*ANGLES[name])):
+                (out / f"{name}-{side}.json").write_text(json.dumps(doc) + "\n")
+            basis, record = angles_seconds(out, name)
+            print(f"{name} orthonormal_basis_f64 {basis:.3f} s angles_record {record:.3f} s")
     else:
         out = Path(sys.argv[1])
         out.mkdir(exist_ok=True)

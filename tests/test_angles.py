@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from relcalc import GaussianRational, PreconditionError, Subspace
+from relcalc import angles
 from relcalc.angles import (
     MAX_TOL,
     MIN_TOL,
@@ -130,6 +131,44 @@ def test_friedrichs_splits_one_side(n, complex_entries):
     assert shapes == {"nested", "trivial", "meet"} if n > 2 else "nested" in shapes
 
 
+def test_record_reads_the_public_cosines():
+    """The record's cosines are dixmier_cos and friedrichs_cos bit for bit,
+    over zero, full, equal and nested sides and sides that meet."""
+    rng = random.Random(30)
+    pairs = []
+    for n in range(1, 6):
+        for complex_entries in (False, True):
+            for _ in range(5):
+                pairs.append(_shared_pair(rng, n, complex_entries))
+            s, t = _shared_pair(rng, n, complex_entries)
+            zero, full = Subspace.zero(n), Subspace.full(n)
+            pairs += [(zero, t), (s, zero), (zero, zero), (full, t), (s, full), (s, s)]
+    assert sum(0 < s.intersect(t).dim < s.dim for s, t in pairs) >= 10
+    for s, t in pairs:
+        rec = angles_record(s, t)
+        assert rec["dixmier_cos"] == dixmier_cos(s, t)
+        assert rec["friedrichs_cos"] == friedrichs_cos(s, t)
+
+
+def test_record_orthonormalizes_each_side_once(monkeypatch):
+    """S, the split S - (S meet T) and T are orthonormalized once each, and
+    both cosines read the one basis of T."""
+    seen = []
+    original = angles.orthonormal_basis_f64
+
+    def counting(x, tol):
+        seen.append(x)
+        return original(x, tol)
+
+    monkeypatch.setattr(angles, "orthonormal_basis_f64", counting)
+    s = span([e(0, 3), e(1, 3)], 3)
+    t = span([e(1, 3), [1, 0, 1]], 3)
+    rec = angles_record(s, t)
+    assert rec["intersection_dim"] == 1
+    assert len(seen) == 3
+    assert all(x in seen for x in (s, s.relative_complement(t), t))
+
+
 def test_complex_line_angles():
     s = span([[1, I]], 2)
     t = span([[1, -1]], 2)
@@ -246,11 +285,13 @@ ENTRY_POINTS = {
 )
 def test_tolerance_range_is_shared(name, tol, ok):
     """Every angle entry point and the fuzz config accept exactly the same
-    tolerances; the rest are bad input (exit 4), never a Gram-check breach."""
+    tolerances, beside a zero operand too; the rest are bad input (exit 4),
+    never a Gram-check breach."""
     call = ENTRY_POINTS[name]
-    s, t = span([e(0, 2)], 2), span([[1, 1]], 2)
-    if ok:
-        call(s, t, tol)
-    else:
-        with pytest.raises(PreconditionError):
+    t = span([[1, 1]], 2)
+    for s in (span([e(0, 2)], 2), Subspace.zero(2)):
+        if ok:
             call(s, t, tol)
+        else:
+            with pytest.raises(PreconditionError):
+                call(s, t, tol)

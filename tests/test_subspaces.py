@@ -313,15 +313,17 @@ MIXED_AMBIENT_ENTRY_POINTS = {
 @pytest.mark.parametrize("name", list(MIXED_AMBIENT_ENTRY_POINTS))
 def test_mixed_ambients_raise_one_record(name):
     """One rule, stated once: an operand of another ambient, in any
-    position, raises the same DimensionError."""
+    position, raises the same DimensionError, also beside zero operands,
+    whose shortcuts come after the check."""
     fn, arity = MIXED_AMBIENT_ENTRY_POINTS[name]
-    small, big = span([e(0, 2)], 2), span([e(1, 3)], 3)
-    for odd in range(arity):
-        args = [small] * arity
-        args[odd] = big
-        with pytest.raises(DimensionError) as err:
-            fn(*args)
-        assert err.value.message == "mixed ambient dimensions [2, 3]"
+    big = span([e(1, 3)], 3)
+    for small in (span([e(0, 2)], 2), Subspace.zero(2)):
+        for odd in range(arity):
+            args = [small] * arity
+            args[odd] = big
+            with pytest.raises(DimensionError) as err:
+                fn(*args)
+            assert err.value.message == "mixed ambient dimensions [2, 3]"
 
 
 @pytest.mark.parametrize(
