@@ -87,16 +87,12 @@ def _eliminate(den, pre, pim, dr, vre, vim, col):
     return _reduce_content(nd, nre, nim)
 
 
-def _normalize_pivot(dp, re, im, col):
-    """Divide a row by its leading entry at ``col``; the old denominator
+def _normalize_pivot(re, im, col):
+    """Divide a row by its leading entry at ``col``; the row's denominator
     cancels, leaving entry 1 represented as den == re[col]."""
     a = re[col]
     b = im[col] if im is not None else 0
     if b == 0:
-        if a == dp:
-            # Leading entry already exactly 1; content reduction can wait
-            # for the final output pass.
-            return dp, re, im
         if a < 0:
             re = [-x for x in re]
             if im is not None:
@@ -138,9 +134,9 @@ def rref(rows, width):
                 break
         if pr < 0:
             continue
-        work[prow], work[pr] = work[pr], work[prow]
-        den, pre, pim = _normalize_pivot(*work[prow], col)
-        work[prow] = (den, pre, pim)
+        _, re, im = work[pr]
+        work[pr] = work[prow]
+        den, pre, pim = work[prow] = _normalize_pivot(re, im, col)
         for r in range(m):
             dr, vre, vim = work[r]
             if r != prow and (vre[col] or (vim is not None and vim[col])):
@@ -148,15 +144,8 @@ def rref(rows, width):
         pivots.append(col)
         prow += 1
     # Lazy elimination can leave shared content behind; canonical uniqueness
-    # requires one full reduction per surviving row.  A pivot row with den 1
-    # has leading entry exactly 1, hence content 1 already.
-    zero = zeros(width)
-    out = []
-    for den, re, im in work[:prow]:
-        if den != 1:
-            den, re, im = _reduce_content(den, re, im)
-        out.append((den, tuple(re), zero if im is None else tuple(im)))
-    return pivots, out
+    # requires one full reduction per surviving row.
+    return pivots, [reduced_row(*row) for row in work[:prow]]
 
 
 def nullspace(pivots, rows, width):

@@ -150,12 +150,17 @@ def friedrichs_cos(s: Subspace, t: Subspace, tol: float = DEFAULT_TOL) -> float:
 
 def angles_record(s: Subspace, t: Subspace, tol: float = DEFAULT_TOL) -> dict:
     """Machine-readable record: both cosines plus the exact intersection
-    dimension, dim S less that of the one split S - (S meet T)."""
+    dimension, dim S less that of the one split S - (S meet T).  Each
+    distinct subspace is orthonormalized once: with S meet T = 0 the split
+    is S itself, and both cosines read S's basis."""
     rest = s.relative_complement(t)
+    bs = orthonormal_basis_f64(s, tol)
     bt = orthonormal_basis_f64(t, tol)
     return {
-        "dixmier_cos": _cos(orthonormal_basis_f64(s, tol), bt),
-        "friedrichs_cos": _cos(orthonormal_basis_f64(rest, tol), bt),
+        "dixmier_cos": _cos(bs, bt),
+        "friedrichs_cos": _cos(
+            bs if rest.dim == s.dim else orthonormal_basis_f64(rest, tol), bt
+        ),
         "intersection_dim": s.dim - rest.dim,
         "dim_left": s.dim,
         "dim_right": t.dim,

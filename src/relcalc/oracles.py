@@ -2,12 +2,13 @@
 named checks compare with the production operations on random inputs.
 
 Each reaches its answer by a different computation than the route it checks.
-:meth:`Subspace.intersect`, :meth:`LinearRelation.meet`,
-:meth:`LinearRelation.compose` and :meth:`LinearRelation.plus` read their
-results off residual rows; their oracles solve one stacked coefficient
-system on the integer rows, :func:`intersect_by_stacking`, directly for the
-intersection and the meet (of the graphs) and inside a triple space for the
-other two.  The augmented form checks
+:meth:`Subspace.intersect`, :meth:`LinearRelation.compose` and
+:meth:`LinearRelation.plus` read their results off residual rows; their
+oracles solve one stacked coefficient system on the integer rows,
+:func:`intersect_by_stacking`, directly for the intersection and inside a
+triple space for the other two.  :meth:`LinearRelation.meet` is by
+definition the intersection of the graphs, so the intersection's oracle,
+applied to the graphs, checks it.  The augmented form checks
 :func:`relcalc.idempotents.maximal_idempotent` (restricted form).
 """
 
@@ -34,16 +35,6 @@ def intersect_by_stacking(s1: Subspace, s2: Subspace) -> Subspace:
     # Only s1's coefficients meet a block; those of s2's rows drop out.
     blocks = [(re, im) for _, re, im in s1._rows]
     return Subspace.from_int_rows(_combine_rows(coeffs, blocks, n), n)
-
-
-def meet_by_generator_coordinates(
-    t: LinearRelation, s: LinearRelation
-) -> LinearRelation:
-    """Oracle route for meet: the intersection of the graphs, solved in
-    generator coordinates by :func:`intersect_by_stacking`."""
-    t._require_same_dims(s)
-    graph = intersect_by_stacking(t.graph, s.graph)
-    return LinearRelation(t.dim_in, t.dim_out, graph)
 
 
 def _coefficient_nullspace(rows1, rows2, width):

@@ -233,11 +233,8 @@ class LinearRelation:
         )
 
     def meet(self, other: "LinearRelation") -> "LinearRelation":
-        """Intersection of the graphs, by definition.
-
-        The generator-coordinate route is kept in
-        :func:`relcalc.oracles.meet_by_generator_coordinates` as the
-        independent cross-check.
+        """Intersection of the graphs, by definition; the tests check it
+        against :func:`relcalc.oracles.intersect_by_stacking` of the graphs.
         """
         self._require_same_dims(other)
         graph = self.graph.intersect(other.graph)

@@ -244,12 +244,8 @@ def _read_off(against: Subspace, k: int, pairs, width: int, spanned=None):
     when every residual block is zero.
     """
     lead = width - against.ambient_dim + k
-    zero = _rowops.zeros(k + width)
 
     def stack(d, r, b):
-        # Zero parts, the imaginary ones of real data, stack to zero.
-        if not any(r) and not any(b):
-            return zero
         if d != 1:
             b = [d * x for x in b]
         return [*r[:k], *b[:lead], *map(sub, b[lead:], r[k:])]

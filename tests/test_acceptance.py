@@ -5,6 +5,7 @@ pytest assertions.  Exact criteria compare canonical forms bit-for-bit;
 angle criteria use the stated float tolerances.
 """
 
+import hashlib
 import json
 import time
 
@@ -43,6 +44,9 @@ from relcalc.verifier import (
 )
 
 
+CRITERION_1_DIGEST = "81dfcfa5566a553cc81595cf751184025d27d22940241c5234c77d4aae7d7675"
+
+
 def report(name, detail):
     print(f"PASS {name}: {detail}")
 
@@ -53,7 +57,12 @@ def test_criterion_1_exact_identity_suite(tmp_path, capsys):
     code = main(["fuzz", "--dim", "4", "--trials", "500", "--seed", "42", "-o", out])
     elapsed = time.perf_counter() - started
     assert code == 0
-    doc = json.loads(open(out).read())
+    with open(out, "rb") as f:
+        data = f.read()
+    # The report's bytes for this seed, pinned like tests/test_verifier.py's
+    # REPORT_DIGESTS.
+    assert hashlib.sha256(data).hexdigest() == CRITERION_1_DIGEST
+    doc = json.loads(data)
     assert doc["pass"] is True
     failures = {c["name"]: c["failures"] for c in doc["checks"]}
     assert all(v == 0 for v in failures.values()), failures

@@ -151,8 +151,9 @@ def test_record_reads_the_public_cosines():
 
 
 def test_record_orthonormalizes_each_side_once(monkeypatch):
-    """S, the split S - (S meet T) and T are orthonormalized once each, and
-    both cosines read the one basis of T."""
+    """Each distinct subspace among S, the split S - (S meet T) and T is
+    orthonormalized once, and both cosines read the one basis of T; with
+    S meet T = 0 the split is S, so the record builds two bases."""
     seen = []
     original = angles.orthonormal_basis_f64
 
@@ -167,6 +168,11 @@ def test_record_orthonormalizes_each_side_once(monkeypatch):
     assert rec["intersection_dim"] == 1
     assert len(seen) == 3
     assert all(x in seen for x in (s, s.relative_complement(t), t))
+    seen.clear()
+    t = span([[1, 1, 1]], 3)
+    rec = angles_record(s, t)
+    assert rec["intersection_dim"] == 0
+    assert seen == [s, t]
 
 
 def test_complex_line_angles():

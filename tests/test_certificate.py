@@ -13,7 +13,9 @@ check their work", JACM 42(1), 1995.  The checker shares only the row format
   sum_k v[p_k] * out_k, so the input spans at most the output; and the
   input's rank modulo a prime P, which reduction can only lower (Schwartz,
   JACM 27(4), 1980), equals the number of output rows, so it spans at least
-  the output.
+  the output.  Where P divides a minor, the rank modulo P falls short, and
+  the exact rank by Fraction elimination (``test_rowops.ref_rref``, which
+  shares no code with ``_rowops``) decides.
 * ``residual``: the result is zero in every pivot column, and
   vec - residual equals sum_k vec[p_k] * row_k, so it lies in the span.
 * ``nullspace``: M x = 0 for every output row x, and there are width - rank
@@ -38,6 +40,7 @@ from relcalc.verifier import GenConfig, verify_suite
 from classify_wide import DOCS, document
 from test_golden import EDGE, GOLDEN, MANIFEST
 from test_mutants import LEDGER, _edit, _install
+from test_rowops import as_pairs, ref_rref
 
 # A 61-bit prime that is 1 (mod 4), so i can be sent to a square root of -1
 # in GF(P); 7 is a quadratic non-residue modulo P.
@@ -119,7 +122,11 @@ def _rref_fault(args, answer):
         if not _is_combination(row, pivots, out):
             return "an input row is not the combination of the output rows"
     if _rank_mod_p(rows, width) != len(out):
-        return "the input's rank modulo P differs from the output's"
+        # Only an input whose minors P divides gets here with a correct
+        # answer; the exact rank decides.
+        exact = ref_rref([as_pairs(_parts(row)) for row in rows], width)[0]
+        if len(exact) != len(out):
+            return "the input's rank differs from the output's"
     return None
 
 
@@ -275,6 +282,31 @@ def test_every_kernel_answer_of_the_golden_corpora_is_certified(
         cli.main([*entry["argv"], "-o", str(tmp_path / "out.txt")])
         capsys.readouterr()
     assert all(counts.values()), counts
+
+
+# Rows whose rank modulo P is below their rank over Q(i): (P, 1), (0, 1) has
+# determinant P, and (1, i), (1, s) with s a square root of -1 modulo P
+# has s - i, which i -> s sends to 0.
+HOSTILE = [
+    [(1, (P, 1), (0, 0)), (1, (0, 1), (0, 0))],
+    [(1, (1, 0), (0, 1)), (1, (1, SQRT_MINUS_ONE), (0, 0))],
+]
+
+
+@pytest.mark.parametrize("rows", HOSTILE)
+def test_the_certificate_accepts_rows_whose_minors_p_divides(rows):
+    assert _rank_mod_p(rows, 2) < 2
+    answer = _rowops.rref(rows, 2)
+    assert len(answer[1]) == 2
+    assert _rref_fault((rows, 2), answer) is None
+
+
+def test_the_certificate_rejects_an_answer_larger_than_its_input():
+    # Every input row is a combination of the claimed rows, so only the
+    # rank, modulo P and then exact, sees the extra row.
+    rows = [(1, (1, 1), (0, 0))]
+    full = ([0, 1], [(1, (1, 0), (0, 0)), (1, (0, 1), (0, 0))])
+    assert _rref_fault((rows, 2), full) == "the input's rank differs from the output's"
 
 
 # Wider rows and larger entries than fuzz-d4's: the real dim-8 suite, whose
