@@ -241,7 +241,12 @@ def _read_off(against: Subspace, k: int, pairs, width: int, spanned=None):
     block last; cut at k (only zeros go, so the content stays reduced) they
     are the canonical rows of the answer.  ``spanned`` is the span of the
     payloads when the caller holds it; it is returned, with no ``rref``,
-    when every residual block is zero.
+    when every residual block is zero.  When the residual blocks are
+    independent, no combination of the pairs vanishes, and the answer is
+    ``against``'s rows pivoting at or after k: none of the blocks may be
+    zero, and more than one must fit in the columns before k where
+    ``against`` has no pivot and have full rank, which an ``rref`` of width
+    k decides.
     """
     lead = width - against.ambient_dim + k
 
@@ -254,15 +259,23 @@ def _read_off(against: Subspace, k: int, pairs, width: int, spanned=None):
     for (vre, vim), (bre, bim) in pairs:
         d, rre, rim = _rowops.residual(against._pivots, against._rows, (1, vre, vim))
         rows.append((1, stack(d, rre, bre), stack(d, rim, bim)))
+    blocks = [(1, re[:k], im[:k]) for _, re, im in rows]
+    live = [any(re) or any(im) for _, re, im in blocks]
+    if spanned is not None and not any(live):
+        return spanned
     pad = (0,) * lead
+    pivots = []
     for (den, re, im), p in zip(against._rows, against._pivots):
         if p >= k:
             rows.append((den, re[:k] + pad + re[k:], im[:k] + pad + im[k:]))
-    if spanned is not None and not any(
-        any(re[:k]) or any(im[:k]) for _, re, im in rows
+            pivots.append(p + lead)
+    m = len(blocks)
+    if all(live) and m <= k - against.dim + len(pivots) and (
+        m < 2 or len(_rowops.rref(blocks, k)[0]) == m
     ):
-        return spanned
-    pivots, rows = _rowops.rref(rows, k + width)
+        rows = rows[m:]
+    else:
+        pivots, rows = _rowops.rref(rows, k + width)
     start = sum(p < k for p in pivots)
     return Subspace._from_rref(
         width,

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from relcalc.cli import main
-from relcalc.documents import parse_document
+from relcalc.documents import load_document, parse_document
 
 DIGIT_LIMIT = sys.get_int_max_str_digits() or 4300
 
@@ -320,3 +320,54 @@ def test_mutated_command_lines_keep_the_contract(mutation, data):
     mutate = ARGV_MUTATIONS[mutation]
     check_contract(name, [json.dumps(doc).encode() for doc in docs],
                    lambda argv, tmp: mutate(data.draw, argv, tmp))
+
+
+# P = 2^61 - 31, the prime of the tests' kernel certificate
+# (tests/test_certificate.py).  It divides a minor of the rows (P, 1), (0, 1),
+# whose rank is 2, so an answer read modulo P would be wrong on these
+# documents; the exact answer must come out.
+P = (1 << 61) - 31
+HOSTILE = {
+    "s": {"ambient": 2, "basis": [[str(P), "1"], ["0", "1"]]},
+    "t": {"ambient": 2, "basis": [[str(P), "1"]]},
+    "a": {"dim_in": 2, "dim_out": 2, "generators": [
+        [[str(P), "1"], ["0", "1"]], [["0", "1"], [str(P), f"{2 * P}i"]]]},
+    "b": {"dim_in": 2, "dim_out": 2, "generators": [
+        [[str(P), "1"], [str(P), "1"]], [["0", "1"], ["0", "1"]]]},
+}
+
+
+def _hostile_api(command, a, b, s, t):
+    from relcalc.angles import angles_record
+    from relcalc.documents import plain
+    from relcalc.idempotents import classify
+
+    if command == "parts":
+        return plain({**a.parts()._asdict(), "graph_dim": a.graph.dim})
+    if command == "classify":
+        return plain(classify(a)._asdict())
+    if command == "meet":
+        return a.meet(b)
+    return angles_record(s, t)
+
+
+@pytest.mark.parametrize("command, names", [
+    ("parts", "a"), ("classify", "a"), ("meet", "ab"), ("angles", "st")])
+def test_entries_that_p_divides_keep_the_contract(command, names):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, body in HOSTILE.items():
+            kind = "subspace" if "ambient" in body else "relation"
+            paths[name] = os.path.join(tmp, f"{name}.json")
+            with open(paths[name], "w", encoding="utf-8") as fh:
+                json.dump({"kind": kind, "version": "1", **body}, fh)
+        code, stdout, stderr = run([command, *(paths[n] for n in names)])
+        docs = {n: load_document(p).payload for n, p in paths.items()}
+    assert (code, stderr) == (0, ""), stderr
+    expected = _hostile_api(command, **docs)
+    if command == "meet":
+        assert parse_document(stdout).payload == expected
+    else:
+        assert json.loads(stdout) == expected
+    # The exact ranks: S is the plane, and each graph has dimension 2.
+    assert docs["s"].dim == 2 and docs["a"].graph.dim == docs["b"].graph.dim == 2

@@ -15,13 +15,14 @@ SRC = Path(subspaces.__file__).resolve().parent.parent
 
 # The functions decorated with ``memoized``, each with the measured reason it
 # pays.  Each was removed alone and ``verify_suite`` run at dim 4, 30 trials,
-# seeds 1 / 2 / 3, on a fresh memo; with all seven the suites make 7,958 /
-# 8,284 / 8,569 ``rref`` and 8,229 / 8,557 / 9,629 ``residual`` calls.  CPU
-# is the median ratio without/with of the suite's in-process CPU time over
-# alternating pairs at seed 1.  A function whose kernel work is cached below
-# it is not cached: ``adjoint`` reads off ``inverse`` and ``perp``, and
-# ``semi_projection`` sums through ``_sum``; without their two memos the
-# suites make 56 / 46 / 35 fewer ``rref`` calls.
+# seeds 1 / 2 / 3, on a fresh memo; with all seven the suites make 7,301 /
+# 7,601 / 7,820 ``rref`` and 7,948 / 8,314 / 9,313 ``residual`` calls (the
+# reasons below were measured when they made 7,958 / 8,284 / 8,569 and
+# 8,229 / 8,557 / 9,629).  CPU is the median ratio without/with of the
+# suite's in-process CPU time over alternating pairs at seed 1.  A function
+# whose kernel work is cached below it is not cached: ``adjoint`` reads off
+# ``inverse`` and ``perp``, and ``semi_projection`` sums through ``_sum``;
+# without their two memos the suites make 56 / 46 / 35 fewer ``rref`` calls.
 MEMOIZED = {
     "Subspace.perp": "rref calls 8,730 / 9,016 / 9,318 without it (+8-10 %)",
     "_sum": (
@@ -74,7 +75,8 @@ def test_every_memo_has_a_measured_reason():
     modules = sorted((SRC / "relcalc").glob("*.py"))
     assert sorted(memoized_functions(modules)) == sorted(MEMOIZED)
 
-# Runs one small fuzz suite in a fresh interpreter with ``_rowops.rref`` and
+# Runs a dim-4, seed-1 fuzz suite of the given number of trials in a fresh
+# interpreter (so on a fresh memo) with ``_rowops.rref`` and
 # ``_rowops.residual`` counted; ``gc`` either never runs or runs before
 # every trial.
 COUNT_SCRIPT = """
@@ -110,16 +112,16 @@ else:
         return trial_rng(*args)
 
     verifier.trial_rng = collecting
-cfg = verifier.GenConfig(ambient_dim=4, trials=3, seed=1)
+cfg = verifier.GenConfig(ambient_dim=4, trials=int(sys.argv[2]), seed=1)
 report = serialize_document(wrap(verifier.verify_suite(cfg)))
 print(json.dumps({"calls": calls, "report": report}))
 """
 
 
-def _counted_run(mode):
+def _counted_run(mode, trials=3):
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     done = subprocess.run(
-        [sys.executable, "-c", COUNT_SCRIPT, mode],
+        [sys.executable, "-c", COUNT_SCRIPT, mode, str(trials)],
         env=env,
         capture_output=True,
         text=True,
@@ -139,6 +141,13 @@ def test_work_does_not_depend_on_the_collector():
     assert 0 < quiet["calls"]["residual"] <= 1300
     assert quiet["calls"] == collected["calls"]
     assert quiet["report"] == collected["report"]
+
+
+def test_kernel_work_is_pinned():
+    # The work of the criterion-1 shape at 30 trials.  A change that moves
+    # the kernel's work fails here until it re-pins the counts in the open.
+    calls = _counted_run("disable", trials=30)["calls"]
+    assert calls == {"rref": 7_301, "residual": 7_948}
 
 
 def test_eviction_never_changes_an_answer(monkeypatch):

@@ -1,7 +1,7 @@
 """Linear relations: parts, algebra, composition, adjoints."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from relcalc import DimensionError, GaussianRational, LinearRelation, Subspace
 from relcalc import _rowops
@@ -329,12 +329,48 @@ def test_meet_two_routes_and_part_identities(t, s):
     assert t.meet(t) == t
 
 
+# Operands whose residual blocks are independent: T's outputs against S's
+# graph, and T's inputs against the graph of a relation defined only at 0.
+# No combination vanishes, so the product and the sum are S's rows (0, v).
+INDEPENDENT_COMPOSE = (
+    LinearRelation.from_generators([(e(2, 3), [1, I]), ([0, 0, 0], [1, 1])], 3, 2),
+    operator([[1, 2], [I, 1], [0, 0]]),
+)
+INDEPENDENT_PLUS = (
+    operator([[1, 2], [3, I]]),
+    LinearRelation.from_generators([([0, 0], [1, I])], 2, 2),
+)
+
+
 @settings(max_examples=40)
 @given(relations(dim_in=2, dim_out=2), relations(dim_in=2, dim_out=2))
+@example(*INDEPENDENT_PLUS)
 def test_plus_two_routes_and_domain(t, s):
     u = t.plus(s)
     assert u == plus_by_slot_elimination(t, s)
     assert u.dom == t.dom.intersect(s.dom)
+
+
+def test_independent_residuals_make_no_stacked_rref(monkeypatch):
+    widths = []
+
+    def spy(rows, width, _rref=_rowops.rref):
+        widths.append(width)
+        return _rref(rows, width)
+
+    monkeypatch.setattr(_rowops, "rref", spy)
+    product = INDEPENDENT_COMPOSE[0].compose(INDEPENDENT_COMPOSE[1])
+    # The stacked width is e + n + m = 3 + 2 + 2.
+    assert max(widths, default=0) < 7
+    widths.clear()
+    total = INDEPENDENT_PLUS[0].plus(INDEPENDENT_PLUS[1])
+    # n + n + m = 6.
+    assert max(widths, default=0) < 6
+    monkeypatch.undo()
+    assert product.graph == span([[0, 0, 1, 1]], 4)
+    assert product == compose_by_slot_elimination(*INDEPENDENT_COMPOSE)
+    assert total.graph == span([[0, 0, 1, I]], 4)
+    assert total == plus_by_slot_elimination(*INDEPENDENT_PLUS)
 
 
 def test_plus_with_zero_operator():

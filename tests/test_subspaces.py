@@ -3,7 +3,7 @@
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from relcalc import DimensionError, GaussianRational, LinearRelation, Subspace
 from relcalc import _rowops, idempotents
@@ -166,8 +166,17 @@ def test_relative_complement_splits(s, t):
     assert rest.sum_with(meet) == s
 
 
+# Pairs that meet in 0: the residuals of the smaller operand's rows are
+# independent, so the read-off decides the meet by an ``rref`` of width n.
+TRANSVERSAL = [
+    (span([[1, 2, 0, I], [0, 1, 3, 1]], 4), span([e(0, 4), [0, 0, 1, 1 + I]], 4)),
+    (span([[1, I, 2]], 3), span([[0, 1, 1]], 3)),
+]
+
+
 @settings(max_examples=80)
 @given(subspaces(), subspaces())
+@example(*TRANSVERSAL[0])
 def test_intersection_two_routes_agree(s1, s2):
     assert s1.intersect(s2) == intersect_by_stacking(s1, s2)
 
@@ -198,6 +207,8 @@ def wide_subspaces(draw, ambient=4):
         lambda n: st.tuples(wide_subspaces(n), wide_subspaces(n))
     )
 )
+@example(TRANSVERSAL[0])
+@example(TRANSVERSAL[1])
 def test_intersection_read_off_matches_stacking(pair):
     s1, s2 = pair
     meet = s1.intersect(s2)
@@ -206,6 +217,19 @@ def test_intersection_read_off_matches_stacking(pair):
     small, big = (s1, s2) if s1.dim <= s2.dim else (s2, s1)
     if big.contains(small):
         assert meet is small
+
+
+@pytest.mark.parametrize("s, t", TRANSVERSAL)
+def test_a_transversal_meet_makes_no_wide_rref(monkeypatch, s, t):
+    widths = []
+
+    def spy(rows, width, _rref=_rowops.rref):
+        widths.append(width)
+        return _rref(rows, width)
+
+    monkeypatch.setattr(_rowops, "rref", spy)
+    assert (s & t).is_zero() and (t & s).is_zero()
+    assert max(widths, default=0) <= s.ambient_dim
 
 
 @settings(max_examples=80)
